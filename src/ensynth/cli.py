@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import compress
 from pathlib import Path
 
 from . import linear2, reductions, synthesis
@@ -62,6 +63,14 @@ def _load_system(path: str):
     return parse_ts(text), None
 
 
+def _load_ts(args) -> TransitionSystem:
+    """The single TS a command needs; a .union file is an input error."""
+    ts, _ = _load_system(args.file)
+    if isinstance(ts, TsUnion):
+        raise _InputError(f"{args.command} expects a single .ts file")
+    return ts
+
+
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True))
@@ -71,18 +80,15 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
 
 
 def _region_payload(region: Region) -> dict:
+    sig = region.signature
     return {
         "members": list(region.members),
-        "signature": {
-            e: v for e, v in region.signature.items() if v != 0
-        },
+        "signature": dict(compress(sig.items(), sig.values())),  # non-zero entries
     }
 
 
 def _cmd_validate(args) -> int:
-    ts, _ = _load_system(args.file)
-    if isinstance(ts, TsUnion):
-        raise _InputError("validate expects a single .ts file")
+    ts = _load_ts(args)
     report = validate(ts)
     _emit(
         args,
@@ -100,9 +106,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    ts, _ = _load_system(args.file)
-    if isinstance(ts, TsUnion):
-        raise _InputError("classify expects a single .ts file")
+    ts = _load_ts(args)
     cls = classify(ts)
     _emit(
         args,
@@ -166,7 +170,7 @@ def _cmd_check_feasible(args) -> int:
 
 
 def _cmd_separator(args) -> int:
-    ts, _ = _load_system(args.file)
+    ts = _load_ts(args)
     result = linear2.separator(ts, args.i, args.j)
     if not result.found or result.region is None:
         _emit(args, {"separable": False}, ["UNSEPARABLE"])
@@ -180,7 +184,7 @@ def _cmd_separator(args) -> int:
 
 
 def _cmd_linear2_ssp(args) -> int:
-    ts, _ = _load_system(args.file)
+    ts = _load_ts(args)
     verdict = linear2.linear2_ssp(ts)
     if verdict.holds:
         _emit(
@@ -201,7 +205,7 @@ def _cmd_linear2_ssp(args) -> int:
 
 
 def _cmd_synthesize(args) -> int:
-    ts, _ = _load_system(args.file)
+    ts = _load_ts(args)
     if args.witness == "all-regions":
         regions = enumerate_regions(ts, cap=args.enumeration_cap)
     else:
@@ -345,8 +349,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="state cap for brute-force region enumeration")
     parser.add_argument("--exhaustive-counterexamples", action="store_true",
                         help="report every failing query, not just the first")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="random seed for corpus generation workflows")
     parser.add_argument("--verbose-witnesses", action="store_true",
                         help="print every witness region in the text output")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -425,3 +427,7 @@ def run(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

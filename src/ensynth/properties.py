@@ -18,9 +18,12 @@ from __future__ import annotations
 import time
 from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Optional
 
-from .regions import Region, RegionConstraint, _indexed, solve_region
+from .regions import (
+    Region, RegionConstraint, _bits, _cut_signs, _indexed, _smaller_side, solve_region,
+)
 
 __all__ = [
     "SeparationQuery",
@@ -77,13 +80,6 @@ def _answers(region: Region, query: SeparationQuery) -> bool:
     return False
 
 
-def _has_edge(sys, state: str, event: str) -> bool:
-    has_edge = getattr(sys, "has_edge", None)
-    if has_edge is not None:
-        return has_edge(state, event)
-    return any(src == state and ev == event for src, ev, _ in sys.edges)
-
-
 def _ssp_queries(sys):
     states = sys.states
     component_of = getattr(sys, "component_of", None)
@@ -96,7 +92,7 @@ def _ssp_queries(sys):
 def _essp_queries(sys):
     for e in sys.events:
         for s in sys.states:
-            if not _has_edge(sys, s, e):
+            if not sys.has_edge(s, e):
                 yield SeparationQuery.event_state(e, s)
 
 
@@ -161,7 +157,7 @@ def inhibitable(sys, e: str, s: str) -> Optional[Region]:
     Only this polarity is searched; the complement yields sig(e)=+1 with
     R(s)=1, so existence coincides.
     """
-    if _has_edge(sys, s, e):
+    if sys.has_edge(s, e):
         raise ValueError(f"event {e!r} occurs at state {s!r}; the query is vacuous")
     return solve_region(
         sys, RegionConstraint(membership={s: 0}, signature={e: -1})
@@ -180,38 +176,43 @@ class _Deadline:
 
 
 def _run_ssp(sys, deadline: _Deadline, regions: list[Region]):
-    """Cover all intra-component pairs; returns a counterexample or None."""
+    """Cover all intra-component pairs; returns a counterexample or None.
+
+    The states that no witness separates yet form the blocks of a
+    partition, one block per component at the start and refined by every
+    witness, so the open pairs of state i are the later states of its block.
+    """
     idx = _indexed(sys)
     n = len(idx.states)
     component_of = getattr(sys, "component_of", None)
-    if component_of is None:
-        comp_ids = [0] * n
-    else:
-        comp_ids = [component_of[s] for s in idx.states]
-    comp_masks: dict[int, int] = {}
-    for i, c in enumerate(comp_ids):
-        comp_masks[c] = comp_masks.get(c, 0) | (1 << i)
-    full = (1 << n) - 1
-
-    sep = [0] * n
+    block_of = [0] * n if component_of is None else [component_of[s] for s in idx.states]
+    blocks = [0] * (max(block_of) + 1)
+    for i, b in enumerate(block_of):
+        blocks[b] |= 1 << i
+    components, component_ids = list(blocks), list(block_of)
 
     def absorb(region: Region):
         m = region.mask
-        inv = full & ~m
-        for i in range(n):
-            sep[i] |= inv if (m >> i) & 1 else m
+        for b in set(map(block_of.__getitem__, _smaller_side(_bits(m, n)))):
+            block = blocks[b]
+            inside = block & m
+            if inside == 0 or inside == block:
+                continue
+            outside = block ^ inside
+            part = inside if inside.bit_count() <= outside.bit_count() else outside
+            blocks[b] = block ^ part
+            for i in compress(range(n), _bits(part, n)):
+                block_of[i] = len(blocks)
+            blocks.append(part)
 
     for region in regions:
         absorb(region)
 
-    deadline.total += sum(
-        bin(mask).count("1") * (bin(mask).count("1") - 1) // 2
-        for mask in comp_masks.values()
-    )
+    deadline.total += sum(c.bit_count() * (c.bit_count() - 1) // 2 for c in components)
     for i in range(n):
-        above = comp_masks[comp_ids[i]] & ~((1 << (i + 1)) - 1)
+        above = ~((1 << (i + 1)) - 1)
         while True:
-            rem = above & ~sep[i]
+            rem = blocks[block_of[i]] & above
             if rem == 0:
                 break
             j = (rem & -rem).bit_length() - 1
@@ -219,12 +220,13 @@ def _run_ssp(sys, deadline: _Deadline, regions: list[Region]):
             witness = solve_region(
                 sys,
                 RegionConstraint(membership={idx.states[i]: 1, idx.states[j]: 0}),
+                deadline=deadline,
             )
             if witness is None:
                 return SeparationQuery.states(idx.states[i], idx.states[j])
             regions.append(witness)
             absorb(witness)
-        deadline.checked += bin(above).count("1")
+        deadline.checked += (components[component_ids[i]] & above).bit_count()
     return None
 
 
@@ -232,24 +234,22 @@ def _run_essp(sys, deadline: _Deadline, regions: list[Region], exhaustive: bool)
     """Cover all non-vacuous (event, state) queries; returns failing queries."""
     idx = _indexed(sys)
     n = len(idx.states)
+    esrc = idx.esrc
+    full = (1 << n) - 1
+    # pending[k]: states at which event k is not enabled and not yet inhibited.
     pending: list[int] = []
-    for e in idx.events:
-        mask = 0
-        for i, s in enumerate(idx.states):
-            if not _has_edge(sys, s, e):
-                mask |= 1 << i
-        pending.append(mask)
-    deadline.total += sum(bin(m).count("1") for m in pending)
+    for eids in idx.event_edges:
+        enabled = 0
+        for eid in eids:
+            enabled |= 1 << esrc[eid]
+        pending.append(full & ~enabled)
+    deadline.total += sum(m.bit_count() for m in pending)
 
     def absorb(region: Region):
         m = region.mask
-        sig = region.signature
-        for k, ev in enumerate(idx.events):
-            v = sig.get(ev, 0)
-            if v == -1:
-                pending[k] &= m
-            elif v == 1:
-                pending[k] &= ~m
+        for k, v in _cut_signs(idx, _bits(m, n)).items():
+            if pending[k]:
+                pending[k] &= m if v < 0 else ~m
 
     for region in regions:
         absorb(region)
@@ -263,6 +263,7 @@ def _run_essp(sys, deadline: _Deadline, regions: list[Region], exhaustive: bool)
             witness = solve_region(
                 sys,
                 RegionConstraint(membership={idx.states[i]: 0}, signature={e: -1}),
+                deadline=deadline,
             )
             if witness is None:
                 failures.append(SeparationQuery.event_state(e, idx.states[i]))
@@ -308,6 +309,7 @@ def has_essp(
     for region in seed_regions:
         if region.system is not sys and region.system != sys:
             raise ValueError("seed region does not belong to the checked system")
+        region.signature  # fails unless the mask is a region of sys
         regions.append(region)
     failures = _run_essp(sys, deadline, regions, exhaustive)
     witnesses = WitnessMap(sys, ("essp",), regions)

@@ -4,6 +4,7 @@ A region is a state subset R whose characteristic function extends to a
 signature sig: E -> {-1,0,+1} with R(s') = R(s) + sig(e) on every edge
 s -e-> s'.  The signature is unique, so regions are canonicalized by their
 membership bit-vector and the signature is always derived, never stored.
+Events without any edge have signature 0 in every region.
 
 Two engines are provided:
 
@@ -19,16 +20,20 @@ Two engines are provided:
   generated instances: the translator trichotomy).  Worst-case behavior
   on arbitrary inputs remains exponential.
 
-Any object with ``states``, ``events`` and ``edges`` attributes is
-accepted as a system, so unions are handled exactly like single
-transition systems (a union is just a disconnected graph).
+A solve costs what the constraint reaches, not what the system holds.
+The system (a :class:`~ensynth.ts.TransitionSystem` or a
+:class:`~ensynth.unions.TsUnion`, which is just a disconnected graph)
+owns its integer index, built on first use and kept in its ``_index``
+slot.  Full domains are arc-consistent, so the propagation queue is seeded
+from the constraint only, and the search undoes a branch through a trail
+of changed values instead of copying the domains at every frame.
 """
 
 from __future__ import annotations
 
-import weakref
 from collections import deque
 from heapq import heappop, heappush
+from itertools import compress
 from typing import Iterable, Mapping, Optional
 
 __all__ = [
@@ -50,12 +55,58 @@ _SIG_ALL = 0b111
 _SIG_BIT = {-1: 0b001, 0: 0b010, 1: 0b100}
 
 
+def _revise(ms: int, mg: int, mt: int):
+    """Supported values of R(s), sig(e), R(t) under R(t) = R(s) + sig(e)."""
+    ns = ng = nt = 0
+    if ms & 1:  # R(s) = 0
+        if (mg & 0b010) and (mt & 1):
+            ns |= 1; ng |= 0b010; nt |= 1
+        if (mg & 0b100) and (mt & 2):
+            ns |= 1; ng |= 0b100; nt |= 2
+    if ms & 2:  # R(s) = 1
+        if (mg & 0b001) and (mt & 1):
+            ns |= 2; ng |= 0b001; nt |= 1
+        if (mg & 0b010) and (mt & 2):
+            ns |= 2; ng |= 0b010; nt |= 2
+    return (ns, ng, nt) if ns else None
+
+
+# The edge rule for every domain triple, keyed by ms | mg << 2 | mt << 5.
+_REVISE = tuple(
+    _revise(key & 0b11, (key >> 2) & 0b111, key >> 5) for key in range(128)
+)
+
+# bytes.translate tables: a state's membership as one byte 0/1, and the
+# decided-member states of a membership domain array as ASCII binary digits.
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+_MEMBER_DIGITS = bytes(0x31 if d == 0b10 else 0x30 for d in range(256))
+
+
+def _bits(mask: int, n: int) -> bytes:
+    """Membership of the ``n`` states as 0/1 bytes, in declaration order."""
+    return bin(mask)[:1:-1].ljust(n, "0").encode().translate(_BIT_BYTES)[:n]
+
+
+def _smaller_side(bits: bytes):
+    """Positions on the smaller side of a membership byte-vector: a region
+    and its complement cut the same edges, and each cut meets both sides."""
+    if 2 * bits.count(1) > len(bits):
+        bits = bits.translate(_FLIP)
+    return compress(range(len(bits)), bits)
+
+
 class _Index:
-    """Integer-indexed view of a system, cached on the system object."""
+    """Integer-indexed view of a system, owned by the system object.
+
+    ``repeated`` flags the events that occur more than once and ``active``
+    their edges: a single-occurrence event absorbs any membership
+    difference, so its edge constrains nothing.
+    """
 
     __slots__ = (
-        "states", "events", "state_pos", "event_pos",
-        "esrc", "eev", "edst", "event_edges", "state_edges", "event_count",
+        "states", "events", "state_pos", "event_pos", "esrc", "eev", "edst",
+        "event_edges", "state_edges", "active", "repeated",
     )
 
     def __init__(self, sys):
@@ -76,22 +127,15 @@ class _Index:
             self.state_edges[s].append(eid)
             self.state_edges[t].append(eid)
         self.esrc, self.eev, self.edst = tuple(esrc), tuple(eev), tuple(edst)
-        self.event_count = tuple(len(es) for es in self.event_edges)
-
-
-_INDEX_CACHE = weakref.WeakKeyDictionary()
+        self.repeated = bytearray(len(es) > 1 for es in self.event_edges)
+        self.active = bytearray(self.repeated[e] for e in eev)
 
 
 def _indexed(sys) -> _Index:
-    try:
-        return _INDEX_CACHE[sys]
-    except (KeyError, TypeError):
-        pass
-    idx = _Index(sys)
-    try:
-        _INDEX_CACHE[sys] = idx
-    except TypeError:
-        pass
+    idx = sys._index
+    if idx is None:
+        idx = _Index(sys)
+        object.__setattr__(sys, "_index", idx)
     return idx
 
 
@@ -122,8 +166,7 @@ class Region:
     @property
     def members(self) -> tuple[str, ...]:
         idx = _indexed(self.system)
-        mask = self.mask
-        return tuple(s for i, s in enumerate(idx.states) if (mask >> i) & 1)
+        return tuple(compress(idx.states, _bits(self.mask, len(idx.states))))
 
     def __contains__(self, state: str) -> bool:
         idx = _indexed(self.system)
@@ -182,18 +225,35 @@ class Region:
         return f"Region({{{', '.join(self.members)}}})"
 
 
+def _cut_signs(idx: _Index, bits: bytes) -> Optional[dict[int, int]]:
+    """Signature of each event with an edge the membership cuts, by event id,
+    or ``None`` if the edges of such an event disagree (not a region).
+
+    Every other event has signature 0, and every cut edge has an end on
+    the smaller side, so the cost follows the region's boundary.
+    """
+    esrc, edst, eev = idx.esrc, idx.edst, idx.eev
+    signs: dict[int, int] = {}
+    for s in _smaller_side(bits):
+        for eid in idx.state_edges[s]:
+            d = bits[edst[eid]] - bits[esrc[eid]]
+            if d:
+                signs[eev[eid]] = d
+    for e, d in signs.items():
+        for eid in idx.event_edges[e]:
+            if bits[edst[eid]] - bits[esrc[eid]] != d:
+                return None
+    return signs
+
+
 def _signature_of_mask(idx: _Index, mask: int) -> Optional[dict[str, int]]:
-    sig_list = [None] * len(idx.events)
-    for eid in range(len(idx.esrc)):
-        d = ((mask >> idx.edst[eid]) & 1) - ((mask >> idx.esrc[eid]) & 1)
-        e = idx.eev[eid]
-        prev = sig_list[e]
-        if prev is None:
-            sig_list[e] = d
-        elif prev != d:
-            return None
-    return {ev: (sig_list[i] if sig_list[i] is not None else 0)
-            for i, ev in enumerate(idx.events)}
+    signs = _cut_signs(idx, _bits(mask, len(idx.states)))
+    if signs is None:
+        return None
+    sig = dict.fromkeys(idx.events, 0)
+    for e, d in signs.items():
+        sig[idx.events[e]] = d
+    return sig
 
 
 def check_region(sys, members: Iterable[str]) -> Optional[dict[str, int]]:
@@ -255,45 +315,43 @@ class _Solver:
     the constraint pins their signature: a single-occurrence event absorbs
     any membership difference, so such edges never constrain anything and
     their signature is derived from the solution afterwards.
+
+    Every domain change, touched flag and heap pop is recorded on a trail
+    as (array, position, old value), or (None, event, 0) for a pop, so a
+    branch is undone by replaying the trail back to the frame's mark.
     """
 
-    def __init__(self, sys, constraint: RegionConstraint):
+    def __init__(self, sys, constraint: RegionConstraint, deadline=None):
         idx = _indexed(sys)
-        self.idx = idx
-        self.n_states = len(idx.states)
-        self.n_events = len(idx.events)
-        self.mem = bytearray([_MEM_ALL] * self.n_states)
-        self.sig = bytearray([_SIG_ALL] * self.n_events)
-        self.queue: deque[int] = deque()
-
         for name in constraint.membership:
             if name not in idx.state_pos:
                 raise KeyError(f"unknown state {name!r} in constraint")
         for name in constraint.signature:
             if name not in idx.event_pos:
                 raise KeyError(f"unknown event {name!r} in constraint")
+        self.idx = idx
+        self.deadline = deadline
+        self.mem = bytearray(b"\x03") * len(idx.states)
+        self.sig = bytearray(b"\x07") * len(idx.events)
+        self.queue: deque[int] = deque()
+        self.trail: list[tuple] = []
 
-        pinned = {idx.event_pos[ev] for ev in constraint.signature}
-        self.active_edge = [
-            idx.event_count[idx.eev[eid]] > 1 or idx.eev[eid] in pinned
-            for eid in range(len(idx.esrc))
-        ]
-        # Events eligible for branching, in declaration order.  `touched`
-        # tracks the constraint's cone of influence; touched events are
-        # branched first, ordered by declaration (a min-heap with lazy
+        # Events eligible for branching: repeated events and pinned ones.
+        self.active = bytearray(idx.active)
+        self.branchable = bytearray(idx.repeated)
+        for ev in constraint.signature:
+            e = idx.event_pos[ev]
+            if not self.branchable[e]:
+                self.branchable[e] = 1
+                for eid in idx.event_edges[e]:
+                    self.active[eid] = 1
+        # `touched` tracks the constraint's cone of influence; touched events
+        # are branched first, ordered by declaration (a min-heap with lazy
         # deletion).  Generated gadget unions declare events in chain
         # order, so this keeps conflicting choices chronologically close
         # and stops local conflicts from being re-proved under unrelated
         # assignments.
-        self.branch_events = [
-            e
-            for e in range(self.n_events)
-            if idx.event_count[e] > 1 or e in pinned
-        ]
-        self.branchable = bytearray(self.n_events)
-        for e in self.branch_events:
-            self.branchable[e] = 1
-        self.touched = bytearray(self.n_events)
+        self.touched = bytearray(len(idx.events))
         self.touch_heap: list[int] = []
 
         self.failed = False
@@ -301,10 +359,10 @@ class _Solver:
             for st, val in constraint.membership.items():
                 self._set_mem(idx.state_pos[st], 0b01 if val == 0 else 0b10)
             for ev, val in constraint.signature.items():
-                self._set_sig(idx.event_pos[ev], _SIG_BIT[val])
-            self.queue.extend(
-                eid for eid in range(len(idx.esrc)) if self.active_edge[eid]
-            )
+                e = idx.event_pos[ev]
+                if val and not idx.event_edges[e]:
+                    raise _Unsatisfiable  # an edgeless event has signature 0
+                self._set_sig(e, _SIG_BIT[val])
             self._drain()
         except _Unsatisfiable:
             self.failed = True
@@ -312,58 +370,59 @@ class _Solver:
     # -- propagation ----------------------------------------------------
 
     def _touch(self, e: int):
+        if self.touched[e]:
+            return
         self.touched[e] = 1
+        self.trail.append((self.touched, e, 0))
         if self.branchable[e]:
             d = self.sig[e]
             if d & (d - 1):
                 heappush(self.touch_heap, e)
 
     def _set_mem(self, s: int, bits: int):
-        new = self.mem[s] & bits
-        if new == self.mem[s]:
+        mem = self.mem
+        old = mem[s]
+        new = old & bits
+        if new == old:
             return
         if new == 0:
             raise _Unsatisfiable
-        self.mem[s] = new
+        self.trail.append((mem, s, old))
+        mem[s] = new
+        active, eev, queue = self.active, self.idx.eev, self.queue
         for eid in self.idx.state_edges[s]:
-            if self.active_edge[eid]:
-                self.queue.append(eid)
-                self._touch(self.idx.eev[eid])
+            if active[eid]:
+                queue.append(eid)
+                self._touch(eev[eid])
 
     def _set_sig(self, e: int, bits: int):
-        new = self.sig[e] & bits
-        if new == self.sig[e]:
+        sig = self.sig
+        old = sig[e]
+        new = old & bits
+        if new == old:
             return
         if new == 0:
             raise _Unsatisfiable
-        self.sig[e] = new
+        self.trail.append((sig, e, old))
+        sig[e] = new
         self._touch(e)
-        self.queue.extend(
-            eid for eid in self.idx.event_edges[e] if self.active_edge[eid]
-        )
+        # Only events with active edges get here, and all their edges are.
+        self.queue.extend(self.idx.event_edges[e])
 
     def _drain(self):
         """Arc-consistency over the edge equations R(t) = R(s) + sig(e)."""
         idx = self.idx
+        esrc, eev, edst = idx.esrc, idx.eev, idx.edst
         queue = self.queue
         mem, sig = self.mem, self.sig
         while queue:
             eid = queue.popleft()
-            s, e, t = idx.esrc[eid], idx.eev[eid], idx.edst[eid]
+            s, e, t = esrc[eid], eev[eid], edst[eid]
             ms, mg, mt = mem[s], sig[e], mem[t]
-            ns = ng = nt = 0
-            if ms & 1:  # R(s) = 0
-                if (mg & 0b010) and (mt & 1):
-                    ns |= 1; ng |= 0b010; nt |= 1
-                if (mg & 0b100) and (mt & 2):
-                    ns |= 1; ng |= 0b100; nt |= 2
-            if ms & 2:  # R(s) = 1
-                if (mg & 0b001) and (mt & 1):
-                    ns |= 2; ng |= 0b001; nt |= 1
-                if (mg & 0b010) and (mt & 2):
-                    ns |= 2; ng |= 0b010; nt |= 2
-            if ns == 0:
+            revised = _REVISE[ms | mg << 2 | mt << 5]
+            if revised is None:
                 raise _Unsatisfiable
+            ns, ng, nt = revised
             if ns != ms:
                 self._set_mem(s, ns)
             if ng != mg:
@@ -379,100 +438,103 @@ class _Solver:
             self._set_mem(var, bits)
         self._drain()
 
+    def _undo(self, mark: int):
+        trail, heap = self.trail, self.touch_heap
+        while len(trail) > mark:
+            array, pos, old = trail.pop()
+            if array is None:
+                heappush(heap, pos)
+            else:
+                array[pos] = old
+
     # -- search ---------------------------------------------------------
 
-    def _pick(self):
-        """Next branch variable: touched events, then free events, then states.
+    def _pick_touched(self) -> Optional[int]:
+        """Smallest touched event whose domain still has more than one value.
 
         An event is touched when its own domain is restricted or an incident
         state got decided; branching those first keeps search inside the
-        constraint's cone of influence.
+        constraint's cone of influence.  Heap entries of events untouched
+        by an undo are dropped; popped decided events go on the trail so an
+        undo that reopens their domain restores them.
         """
-        heap = self.touch_heap
+        heap, sig, touched = self.touch_heap, self.sig, self.touched
         while heap:
             e = heap[0]
-            d = self.sig[e]
-            if d & (d - 1) == 0:
-                heappop(heap)
-                continue
-            return ("event", e, True)
-        for e in self.branch_events:
-            d = self.sig[e]
-            if d & (d - 1):
-                return ("event", e, False)
-        for s in range(self.n_states):
-            if self.mem[s] == _MEM_ALL:
-                return ("state", s, False)
+            if touched[e]:
+                d = sig[e]
+                if d & (d - 1):
+                    return e
+                self.trail.append((None, e, 0))
+            heappop(heap)
+        return None
+
+    def _pick_free(self):
+        """Branch variable outside the cone: free events, then states."""
+        sig, branchable = self.sig, self.branchable
+        for e in range(len(sig)):
+            d = sig[e]
+            if branchable[e] and d & (d - 1):
+                return ("event", e)
+        for s, m in enumerate(self.mem):
+            if m == _MEM_ALL:
+                return ("state", s)
         return None
 
     def _solution_mask(self) -> int:
-        mask = 0
-        for s in range(self.n_states):
-            if self.mem[s] == 0b10:
-                mask |= 1 << s
-        return mask
-
-    def _zero_complete(self):
-        """Extend by the all-zero completion (valid whenever remaining
-        undecided events have fully-free domains and endpoints)."""
-        for s in range(self.n_states):
-            if self.mem[s] == _MEM_ALL:
-                self.mem[s] = 0b01
-        for e in range(self.n_events):
-            d = self.sig[e]
-            if d & (d - 1) and d & 0b010:
-                self.sig[e] = 0b010
+        """Decided members; undecided states read as non-members."""
+        return int(self.mem.translate(_MEMBER_DIGITS)[::-1], 2)
 
     def solutions(self, limit=None, first_only=False):
-        """DFS over branch choices; yields membership masks deterministically."""
+        """DFS over branch choices; yields membership masks deterministically.
+
+        With ``first_only`` the search stops once no touched event is left
+        to branch on: everything outside the cone of influence is free, and
+        the all-zero extension (undecided states outside, undecided events
+        obeying) is a solution.
+        """
         if self.failed:
             return
         count = 0
-        # Frame: [mem, sig, touched, heap snapshots, kind, var, values, next]
+        deadline = self.deadline
+        # Frame: [trail mark, kind, var, values, next value index]
         stack: list[list] = []
-        descend = True
         while True:
-            if descend:
-                pick = self._pick()
-                if pick is None:
-                    yield self._solution_mask()
-                    count += 1
-                    if limit is not None and count >= limit:
-                        return
-                    descend = False
-                    continue
-                kind, var, touched = pick
-                if first_only and not touched:
-                    # Everything outside the cone of influence is free; the
-                    # all-zero extension is a solution.
-                    self._zero_complete()
-                    yield self._solution_mask()
+            e = self._pick_touched()
+            if e is not None:
+                pick = ("event", e)
+            elif first_only:
+                yield self._solution_mask()
+                return
+            else:
+                pick = self._pick_free()
+            if pick is None:
+                yield self._solution_mask()
+                count += 1
+                if limit is not None and count >= limit:
                     return
+            else:
+                kind, var = pick
                 if kind == "event":
                     values = [b for b in (0b010, 0b001, 0b100) if self.sig[var] & b]
                 else:
-                    values = [b for b in (0b01, 0b10) if self.mem[var] & b]
-                stack.append(
-                    [bytes(self.mem), bytes(self.sig), bytes(self.touched),
-                     list(self.touch_heap), kind, var, values, 0]
-                )
+                    values = [0b01, 0b10]
+                stack.append([len(self.trail), kind, var, values, 0])
             # Take the next untried value of the deepest frame.
             while stack:
                 frame = stack[-1]
-                if frame[7] >= len(frame[6]):
+                i = frame[4]
+                if i == len(frame[3]):
                     stack.pop()
                     continue
-                i = frame[7]
-                frame[7] = i + 1
-                self.mem = bytearray(frame[0])
-                self.sig = bytearray(frame[1])
-                self.touched = bytearray(frame[2])
-                self.touch_heap = list(frame[3])
+                frame[4] = i + 1
+                if deadline is not None:
+                    deadline.check()
+                self._undo(frame[0])
                 try:
-                    self._assign(frame[4], frame[5], frame[6][i])
+                    self._assign(frame[1], frame[2], frame[3][i])
                 except _Unsatisfiable:
                     continue
-                descend = True
                 break
             else:
                 return
@@ -486,9 +548,15 @@ def _as_constraint(constraint) -> RegionConstraint:
     raise TypeError("expected a RegionConstraint or None")
 
 
-def solve_region(sys, constraint: RegionConstraint | None = None) -> Optional[Region]:
-    """First region satisfying the constraint, or ``None`` if none exists."""
-    solver = _Solver(sys, _as_constraint(constraint))
+def solve_region(
+    sys, constraint: RegionConstraint | None = None, deadline=None
+) -> Optional[Region]:
+    """First region satisfying the constraint, or ``None`` if none exists.
+
+    ``deadline``, if given, is an object whose ``check()`` the search calls
+    before every branch; whatever it raises aborts the solve.
+    """
+    solver = _Solver(sys, _as_constraint(constraint), deadline)
     for mask in solver.solutions(first_only=True):
         return Region(sys, mask)
     return None

@@ -43,7 +43,9 @@ class TransitionSystem:
     five admissibility conditions are checked by :func:`validate`.
     """
 
-    __slots__ = ("states", "events", "initial", "edges", "_succ", "_hash", "__weakref__")
+    # ``_index`` holds the integer index of ensynth.regions, built on first
+    # use: constructing a system never pays for it.
+    __slots__ = ("states", "events", "initial", "edges", "_succ", "_hash", "_index")
 
     def __init__(
         self,
@@ -82,6 +84,7 @@ class TransitionSystem:
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_succ", None)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_index", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("TransitionSystem is immutable")
@@ -341,14 +344,26 @@ def parse_ts(text: str) -> TransitionSystem:
 
 
 def serialize_ts(ts: TransitionSystem) -> str:
-    """Canonical text for a TS; parse(serialize(ts)) == ts."""
+    """Canonical text for a TS; parse(serialize(ts)) == ts.
+
+    Events are declared by first use, so an ``event`` line is written only
+    where an event would otherwise be declared out of order: just before
+    the edge that first uses a later event, or at the end.
+    """
     out = [".ts", f"initial {ts.initial}"]
     mentioned = {ts.initial}
+    undeclared = iter(ts.events)
+    declared: set[str] = set()
     for src, ev, dst in ts.edges:
         mentioned.update((src, dst))
-    used = {ev for _, ev, _ in ts.edges}
-    out.extend(f"event {ev}" for ev in ts.events if ev not in used)
-    out.extend(f"edge {src} {ev} {dst}" for src, ev, dst in ts.edges)
+        if ev not in declared:
+            for early in undeclared:
+                declared.add(early)
+                if early == ev:
+                    break
+                out.append(f"event {early}")
+        out.append(f"edge {src} {ev} {dst}")
+    out.extend(f"event {ev}" for ev in undeclared)
     orphan = [s for s in ts.states if s not in mentioned]
     if orphan:
         # The format cannot declare isolated non-initial states.

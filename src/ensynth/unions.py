@@ -34,7 +34,8 @@ __all__ = [
 class TsUnion:
     """Ordered collection of state-disjoint TSs viewed as one system."""
 
-    __slots__ = ("components", "states", "events", "edges", "component_of", "__weakref__")
+    # ``_index`` holds the integer index of ensynth.regions, built on first use.
+    __slots__ = ("components", "states", "events", "edges", "component_of", "_index")
 
     def __init__(self, components: Sequence[TransitionSystem]):
         components = tuple(components)
@@ -61,6 +62,7 @@ class TsUnion:
         object.__setattr__(self, "events", tuple(events))
         object.__setattr__(self, "edges", tuple(edges))
         object.__setattr__(self, "component_of", component_of)
+        object.__setattr__(self, "_index", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("TsUnion is immutable")

@@ -13,6 +13,7 @@ from ensynth.ts import TransitionSystem
 
 PHI6 = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 4, 5), (2, 4, 5), (3, 4, 5)]
 PHI4 = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+PHI1 = [(0, 1, 2)]  # a scaffolding formula: not cubic, build with check=False
 
 
 def master() -> TransitionSystem:

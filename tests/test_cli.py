@@ -1,13 +1,21 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ensynth
 from ensynth.cli import export_dot, run
+from ensynth.reductions import CubicMonotoneFormula, build_linear3_essp
 from ensynth.regions import Region, enumerate_regions
 from ensynth.synthesis import synthesize
 from ensynth.ts import TransitionSystem, serialize_ts
+from ensynth.unions import join, serialize_union
 
-from corpus import master
+from corpus import PHI1, master
 
 MASTER_TS = serialize_ts(master())
 ABAB_TS = serialize_ts(TransitionSystem.chain(["a", "b", "a", "b"]))
@@ -197,3 +205,53 @@ def test_outputs_deterministic(files, capsys):
     first = capsys.readouterr().out
     run(["check-feasible", str(files / "master.ts")])
     assert capsys.readouterr().out == first
+
+
+def test_single_ts_commands_reject_unions(files, capsys):
+    instance = build_linear3_essp(CubicMonotoneFormula(PHI1, check=False))
+    path = files / "phi1.union"
+    path.write_text(serialize_union(instance.union, instance.join_plan))
+    for argv in (["separator", str(path), "0", "1"], ["linear2-ssp", str(path)],
+                 ["synthesize", str(path)]):
+        assert run(argv) == 2
+        assert f"{argv[0]} expects a single .ts file" in capsys.readouterr().err
+
+
+def test_seed_flag_removed(files):
+    with pytest.raises(SystemExit) as exc:
+        run(["--seed", "1", "classify", str(files / "master.ts")])
+    assert exc.value.code == 2
+
+
+def test_module_entry_point_runs_main(files):
+    src = str(Path(ensynth.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run(
+        [sys.executable, "-m", "ensynth.cli", "classify", str(files / "master.ts")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0
+    assert "manifoldness 3" in done.stdout
+
+
+# SHA-256 of the CLI output on the joined and the union form of the PHI1
+# linear3-essp instance: witness choice and order are part of the output.
+GOLDEN = {
+    ("phi1.ts", "--format", "json"):
+        "d8fe0dd739df0d67445ee89492aa528dcda0b698356fc0c7329bf1e13b9c27a2",
+    ("phi1.ts", "--verbose-witnesses"):
+        "e34eb81e2fc80071196dc48c3170d43d2c86c24930781faf31e23586d703d33a",
+    ("phi1.union", "--format", "json"):
+        "196b7ed33f702f43e521ca07825ba488952ff36483a32a988b97f758ee3332cf",
+}
+
+
+def test_check_feasible_output_is_pinned(files, capsys):
+    instance = build_linear3_essp(CubicMonotoneFormula(PHI1, check=False))
+    (files / "phi1.ts").write_text(serialize_ts(join(instance.union, instance.join_plan)))
+    (files / "phi1.union").write_text(serialize_union(instance.union, instance.join_plan))
+    for (name, *flags), digest in GOLDEN.items():
+        assert run([*flags, "check-feasible", str(files / name)]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (name, flags)

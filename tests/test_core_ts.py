@@ -14,7 +14,7 @@ from ensynth.ts import (
     validate,
 )
 
-from corpus import linear3_corpus, small_ts_corpus
+from corpus import linear3_corpus, random_deterministic_ts, small_ts_corpus
 
 
 def test_master_is_admissible(master):
@@ -178,3 +178,24 @@ def test_round_trip_corpus(ts):
 def test_round_trip_random_chains(word):
     ts = TransitionSystem.chain(list(word))
     assert parse_ts(serialize_ts(ts)) == ts
+
+
+def test_round_trip_keeps_unused_event_position():
+    ts = TransitionSystem(["s0", "s1", "s2"], ["x", "u", "y"], "s0",
+                          [("s0", "x", "s1"), ("s1", "y", "s2")])
+    assert parse_ts(serialize_ts(ts)).events == ("x", "u", "y")
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.integers(1, 4),
+       st.lists(st.integers(0, 8), max_size=3))
+def test_round_trip_any_event_declaration_order(seed, n_states, n_events, unused):
+    rng = random.Random(seed)
+    ts = random_deterministic_ts(rng, n_states, n_events)
+    events = list(ts.events)
+    rng.shuffle(events)
+    for k, pos in enumerate(unused):
+        events.insert(pos % (len(events) + 1), f"u{k}")
+    ts = TransitionSystem(ts.states, events, ts.initial, ts.edges)
+    text = serialize_ts(ts)
+    assert parse_ts(text) == ts
+    assert serialize_ts(parse_ts(text)) == text

@@ -1,9 +1,12 @@
 import random
+import time
 
 import pytest
 
 from ensynth.properties import (
     SeparationQuery,
+    TimeoutExceeded,
+    _Deadline,
     has_essp,
     has_ssp,
     inhibitable,
@@ -12,8 +15,8 @@ from ensynth.properties import (
     is_ssp_witness,
     separable,
 )
-from ensynth.regions import Region, enumerate_regions
-from ensynth.ts import TransitionSystem
+from ensynth.regions import Region, RegionConstraint, enumerate_regions, solve_region
+from ensynth.ts import TransitionSystem, parse_ts
 from ensynth.unions import make_union
 
 from conftest import brute_essp, brute_feasible, brute_ssp
@@ -167,3 +170,30 @@ def test_timeout_raises():
     big = TransitionSystem.chain([f"e{i % 7}" for i in range(60)])
     with pytest.raises(TimeoutExceeded):
         has_ssp(big, timeout=0.0)
+
+
+class _CountingDeadline:
+    def __init__(self):
+        self.checks = 0
+
+    def check(self):
+        self.checks += 1
+
+
+def test_timeout_bounds_a_single_solve(master):
+    constraint = RegionConstraint(membership={"m0": 1, "m4": 0})
+    counting = _CountingDeadline()
+    assert solve_region(master, constraint, deadline=counting) is not None
+    assert counting.checks > 0  # the solve branches
+    expired = _Deadline(None)
+    expired.at = time.monotonic() - 1.0
+    with pytest.raises(TimeoutExceeded):
+        solve_region(master, constraint, deadline=expired)
+
+
+def test_unused_event_cannot_be_inhibited():
+    ts = parse_ts(".ts\ninitial s0\nevent ghost\nedge s0 a s1\n")
+    assert solve_region(ts, RegionConstraint(signature={"ghost": -1})) is None
+    verdict = has_essp(ts, timeout=10)
+    assert not verdict.holds and not brute_essp(ts)
+    assert verdict.counterexample == SeparationQuery.event_state("ghost", "s0")
