@@ -3,19 +3,24 @@
 A linear 2-fold TS has the SSP exactly when it contains no exact 2-fold
 subsequence (a contiguous segment in which every occurring event occurs
 exactly twice): summing signatures over such a segment is even, so its
-endpoints can never be separated.  When the SSP holds, a separating region
-for any state pair is found in O(|S| log |S|) after preprocessing the
-second-occurrence index, and it has at most two non-obeying events.
+endpoints can never be separated.  Because no event occurs more than
+twice, a segment is exact 2-fold exactly when the prefix parity vectors at
+its ends are equal, so the decision is one parity pass over the word.
+When the SSP holds, a separating region for any state pair is found in
+O(|S|) after preprocessing the second-occurrence index, and it has at most
+two non-obeying events.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate, compress
 from typing import Optional
 
 from .properties import SeparationQuery, Verdict, WitnessMap
 from .regions import Region, _indexed
-from .ts import TransitionSystem, classify, linear_word
+from .ts import TransitionSystem, _linear_chain
 
 __all__ = [
     "second_occurrence_index",
@@ -26,49 +31,63 @@ __all__ = [
     "linear2_ssp",
 ]
 
+Chain = tuple[tuple[str, ...], tuple[str, ...]]  # (states, word) in chain order
 
-def _require_linear_2fold(ts: TransitionSystem) -> None:
-    cls = classify(ts)
-    if not cls.linear or cls.manifoldness > 2:
+
+def _linear_2fold_chain(ts: TransitionSystem) -> Chain:
+    """The chain of a linear 2-fold TS: the one check each public entry
+    point makes; the private helpers below take the chain and trust it."""
+    chain = _linear_chain(ts)
+    if chain is None or max(Counter(chain[1]).values(), default=0) > 2:
         raise ValueError("expected a linear 2-fold transition system")
+    return chain
+
+
+def _other_occurrences(word: tuple[str, ...]) -> list[int]:
+    index = [-1] * len(word)
+    first: dict[str, int] = {}
+    for k, ev in enumerate(word):
+        other = first.setdefault(ev, k)
+        if other != k:
+            index[k], index[other] = other, k
+    return index
+
+
+def _first_exact_segment(word: tuple[str, ...]) -> Optional[tuple[int, int]]:
+    """Smallest i, then smallest j > i, whose prefix parities are equal.
+
+    Each event owns one bit of an int and the parity after k events is
+    the XOR of their bits, so the test is exact.  Every distinct parity is
+    kept, so memory grows with the word length times its event count.
+    """
+    bit: dict[str, int] = {}
+    parity = 0
+    first = {0: 0}
+    second: dict[int, int] = {}
+    for k, ev in enumerate(word, 1):
+        parity ^= bit.setdefault(ev, 1 << len(bit))
+        if parity in first:
+            second.setdefault(parity, k)
+        else:
+            first[parity] = k
+    if not second:
+        return None
+    value = min(second, key=first.__getitem__)
+    return first[value], second[value]
 
 
 def second_occurrence_index(ts: TransitionSystem) -> list[int]:
     """I_A: edge index k -> index of the other occurrence of its event, or -1."""
-    _require_linear_2fold(ts)
-    word = linear_word(ts)
-    positions: dict[str, list[int]] = {}
-    for k, ev in enumerate(word):
-        positions.setdefault(ev, []).append(k)
-    index = [-1] * len(word)
-    for occ in positions.values():
-        if len(occ) == 2:
-            index[occ[0]] = occ[1]
-            index[occ[1]] = occ[0]
-    return index
+    return _other_occurrences(_linear_2fold_chain(ts)[1])
 
 
 def find_exact_2fold_subsequence(ts: TransitionSystem) -> Optional[tuple[int, int]]:
     """First (i, j) whose segment uses every of its events exactly twice.
 
-    Scans i ascending with a per-window counter; a 2-fold TS never sees a
-    third occurrence inside a window, so the inner loop is a plain O(n)
-    sweep and the whole scan is O(n^2).  Returns None iff the TS has the
-    SSP.
+    Smallest i first, then smallest j, found in one prefix-parity pass.
+    Returns None iff the TS has the SSP.
     """
-    _require_linear_2fold(ts)
-    word = linear_word(ts)
-    n = len(word)
-    for i in range(n):
-        singles = 0
-        count: dict[str, int] = {}
-        for t in range(i, n):
-            c = count.get(word[t], 0) + 1
-            count[word[t]] = c
-            singles += 1 if c == 1 else -1
-            if singles == 0:
-                return (i, t + 1)
-    return None
+    return _first_exact_segment(_linear_2fold_chain(ts)[1])
 
 
 @dataclass(frozen=True)
@@ -84,49 +103,25 @@ class SeparatorResult:
         return bool(self.exit_events or self.enter_events)
 
 
-def _chain_states(ts: TransitionSystem) -> list[str]:
-    states = [ts.initial]
-    succ = ts.successors(states[-1])
-    while succ:
-        (nxt,) = succ.values()
-        states.append(nxt)
-        succ = ts.successors(nxt)
-    return states
-
-
 def _region_from_sparse_signature(
-    ts: TransitionSystem, word: list[str], sig: dict[str, int]
+    ts: TransitionSystem, chain: Chain, sig: dict[str, int]
 ) -> Optional[Region]:
     """Membership induced by a signature with few non-obeying events.
 
     The walk along the chain must stay in {0, 1}; at most one of the two
-    start values survives.  Masks are assembled through a bytearray so a
-    single call stays linear in the chain length.
+    start values survives.  The mask is read from one digit string, so a
+    call stays linear in the chain length.
     """
+    states, word = chain
     deltas = [sig.get(ev, 0) for ev in word]
-    n = len(word) + 1
     for start in (0, 1):
-        value = start
-        bits = bytearray((n + 7) // 8)
-        bits[0] |= start
-        ok = True
-        for pos, d in enumerate(deltas):
-            value += d
-            if value not in (0, 1):
-                ok = False
-                break
-            if value:
-                p = pos + 1
-                bits[p >> 3] |= 1 << (p & 7)
-        if ok:
-            idx = _indexed(ts)
-            chain = _chain_states(ts)
-            out = bytearray((len(idx.states) + 7) // 8)
-            for p, state in enumerate(chain):
-                if bits[p >> 3] & (1 << (p & 7)):
-                    q = idx.state_pos[state]
-                    out[q >> 3] |= 1 << (q & 7)
-            return Region(ts, int.from_bytes(bytes(out), "little"))
+        member = list(accumulate(deltas, initial=start))
+        if min(member) >= 0 and max(member) <= 1:
+            pos = _indexed(ts).state_pos
+            digits = bytearray(b"0" * len(states))
+            for state in compress(states, member):
+                digits[-1 - pos[state]] = 0x31  # ASCII "1" for bit pos[state]
+            return Region(ts, int(digits, 2))
     return None
 
 
@@ -138,27 +133,30 @@ def separator(
     Follows the three phases of the search: a unique event inside the
     segment; the event whose partner occurrence is leftmost before s_i plus
     a compensating entering event; symmetrically the rightmost partner
-    after s_j.  On TSs without the SSP the result may be empty.  Each phase
-    uses its own locals.
+    after s_j.  On TSs without the SSP the result may be empty.
     """
-    _require_linear_2fold(ts)
-    word = linear_word(ts)
-    n = len(word)
+    chain = _linear_2fold_chain(ts)
+    n = len(chain[1])
     if not (0 <= i < j <= n):
         raise IndexError(f"indices ({i}, {j}) out of range for chain length {n}")
     if index is None:
-        index = second_occurrence_index(ts)
+        index = _other_occurrences(chain[1])
+    return _separator(ts, chain, index, i, j)
+
+
+def _separator(
+    ts: TransitionSystem, chain: Chain, index: list[int], i: int, j: int
+) -> SeparatorResult:
+    """The body of :func:`separator`, on a checked chain and valid indices.
+    Each phase uses its own locals."""
+    word = chain[1]
+    n = len(word)
 
     def result(exit_ev: str, enter_ev: str | None) -> SeparatorResult:
-        sig = {exit_ev: -1}
-        if enter_ev is not None:
-            sig[enter_ev] = 1
-        region = _region_from_sparse_signature(ts, word, sig)
-        return SeparatorResult(
-            frozenset([exit_ev]),
-            frozenset([enter_ev]) if enter_ev is not None else frozenset(),
-            region,
-        )
+        enter = () if enter_ev is None else (enter_ev,)
+        sig = {exit_ev: -1, **dict.fromkeys(enter, 1)}
+        region = _region_from_sparse_signature(ts, chain, sig)
+        return SeparatorResult(frozenset([exit_ev]), frozenset(enter), region)
 
     # Phase 1: a globally unique event between s_i and s_j exits alone.
     for k in range(i, j):
@@ -166,22 +164,14 @@ def separator(
             return result(word[k], None)
 
     # Phase 2: leftmost second occurrence before s_i.
-    a = -1
-    for k in range(i):
-        if i <= index[k] <= j - 1:
-            a = k
-            break
+    a = next((k for k in range(i) if i <= index[k] < j), -1)
     if a != -1:
         for k in range(a + 1, i):
             if index[k] == -1 or index[k] < a or index[k] >= j:
                 return result(word[a], word[k])
 
     # Phase 3: rightmost second occurrence after s_j.
-    b = -1
-    for k in range(n - 1, j - 1, -1):
-        if i <= index[k] <= j - 1:
-            b = k
-            break
+    b = next((k for k in range(n - 1, j - 1, -1) if i <= index[k] < j), -1)
     if b != -1:
         for k in range(j, b):
             if index[k] == -1 or index[k] < i or index[k] > b:
@@ -200,52 +190,46 @@ class Linear2Verdict(Verdict):
 def linear2_ssp(ts: TransitionSystem) -> Linear2Verdict:
     """SSP verdict with a SeparatorResult witness per state pair.
 
-    The verdict itself is the absence of an exact 2-fold subsequence; the
-    witnesses are computed by the separator, sharing preprocessing and a
-    signature cache, for O(|S|^3) total time.
+    The verdict is the absence of an exact 2-fold subsequence, one parity
+    pass.  Each of the O(|S|^2) pairs then costs O(|S|), or O(1) when a
+    unique event lies between its states, so O(|S|^3) is the worst case.
     """
-    _require_linear_2fold(ts)
-    word = linear_word(ts)
-    chain = _chain_states(ts)
+    chain = _linear_2fold_chain(ts)
+    states, word = chain
     n = len(word)
-    index = second_occurrence_index(ts)
 
-    bad = find_exact_2fold_subsequence(ts)
+    bad = _first_exact_segment(word)
     if bad is not None:
         i, j = bad
         return Linear2Verdict(
             holds=False,
             witnesses=WitnessMap(ts, (), []),
-            counterexample=SeparationQuery.states(chain[i], chain[j]),
+            counterexample=SeparationQuery.states(states[i], states[j]),
         )
 
+    index = _other_occurrences(word)
     # next_unique[k]: first position >= k with a globally unique event.
     next_unique = [n] * (n + 1)
     for k in range(n - 1, -1, -1):
         next_unique[k] = k if index[k] == -1 else next_unique[k + 1]
 
-    cache: dict[tuple[frozenset[str], frozenset[str]], SeparatorResult] = {}
+    # Phase 1 answers every pair with a unique event between its states by
+    # the first such event, so those results are shared by position.
+    by_unique: dict[int, SeparatorResult] = {}
     separators: dict[tuple[str, str], SeparatorResult] = {}
-    regions: list[Region] = []
-    seen_masks: set[int] = set()
+    regions: dict[int, Region] = {}  # distinct masks, in order of first use
     for i in range(n + 1):
+        k = next_unique[i]
         for j in range(i + 1, n + 1):
-            if next_unique[i] < j:
-                k = next_unique[i]
-                key = (frozenset([word[k]]), frozenset())
-                res = cache.get(key)
-                if res is None:
-                    res = separator(ts, i, j, index)
-                    cache[key] = res
-            else:
-                res = separator(ts, i, j, index)
-                cache.setdefault((res.exit_events, res.enter_events), res)
-            separators[(chain[i], chain[j])] = res
-            if res.region is not None and res.region.mask not in seen_masks:
-                seen_masks.add(res.region.mask)
-                regions.append(res.region)
+            if k >= j:
+                res = _separator(ts, chain, index, i, j)
+            elif (res := by_unique.get(k)) is None:
+                res = by_unique[k] = _separator(ts, chain, index, i, j)
+            separators[(states[i], states[j])] = res
+            if res.region is not None:
+                regions.setdefault(res.region.mask, res.region)
     return Linear2Verdict(
         holds=True,
-        witnesses=WitnessMap(ts, ("ssp",), regions),
+        witnesses=WitnessMap(ts, ("ssp",), list(regions.values())),
         separators=separators,
     )

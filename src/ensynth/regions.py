@@ -607,20 +607,15 @@ def enumerate_regions(sys, cap: int = 22) -> list[Region]:
 
 def aggregate_signature(region: Region, ts, i: int, j: int) -> int:
     """R(s_j) - R(s_i) along a linear TS, i.e. the signature sum over e_{i+1}..e_j."""
-    from .ts import classify  # regions stays otherwise TS-agnostic
+    from .ts import _linear_chain  # regions stays otherwise TS-agnostic
 
-    if not classify(ts).linear:
+    chain = _linear_chain(ts)
+    if chain is None:
         raise ValueError("aggregate_signature requires a linear transition system")
     t = len(ts.edges)
     if not (0 <= i < j <= t):
         raise IndexError(f"indices ({i}, {j}) out of range for a chain of length {t}")
-    # Walk the chain to the i-th and j-th states.
-    state = ts.initial
-    chain = [state]
-    for _ in range(t):
-        (_, state), = ts.successors(chain[-1]).items()
-        chain.append(state)
-    return region.membership(chain[j]) - region.membership(chain[i])
+    return region.membership(chain[0][j]) - region.membership(chain[0][i])
 
 
 def format_region(region: Region) -> str:

@@ -21,6 +21,7 @@ from .ts import (
     ParseError,
     TransitionSystem,
     ValidationReport,
+    _check_identifier,
     _content_lines,
     validate,
 )
@@ -240,9 +241,9 @@ def parse_ens(text: str) -> ElementaryNetSystem:
     for number, line in lines[1:]:
         fields = line.split()
         if fields[0] == "place" and len(fields) == 2:
-            places.setdefault(fields[1], None)
+            places.setdefault(_check_identifier(fields[1], number), None)
         elif fields[0] == "transition" and len(fields) == 2:
-            transitions.setdefault(fields[1], None)
+            transitions.setdefault(_check_identifier(fields[1], number), None)
         elif fields[0] == "flow" and len(fields) == 4 and fields[2] == "->":
             src, dst = fields[1], fields[3]
             if src in places and dst in transitions:

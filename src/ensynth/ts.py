@@ -12,6 +12,7 @@ be represented.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -43,9 +44,9 @@ class TransitionSystem:
     five admissibility conditions are checked by :func:`validate`.
     """
 
-    # ``_index`` holds the integer index of ensynth.regions, built on first
-    # use: constructing a system never pays for it.
-    __slots__ = ("states", "events", "initial", "edges", "_succ", "_hash", "_index")
+    # ``_index`` (the integer index of ensynth.regions) and ``_chain`` (see
+    # :func:`_linear_chain`) are built on first use, never by the constructor.
+    __slots__ = ("states", "events", "initial", "edges", "_succ", "_chain", "_hash", "_index")
 
     def __init__(
         self,
@@ -83,11 +84,16 @@ class TransitionSystem:
         object.__setattr__(self, "initial", initial)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_succ", None)
+        object.__setattr__(self, "_chain", None)
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_index", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("TransitionSystem is immutable")
+
+    def __reduce__(self):
+        # Copies and pickles rebuild from the definition; caches start empty.
+        return TransitionSystem, (self.states, self.events, self.initial, self.edges)
 
     @classmethod
     def from_edges(cls, initial: str, edges: Iterable[Edge],
@@ -249,30 +255,47 @@ def validate(ts: TransitionSystem) -> ValidationReport:
 
 def classify(ts: TransitionSystem) -> TsClass:
     """Tight event manifoldness k, state degree g, and linearity flag."""
-    per_event: dict[str, int] = {e: 0 for e in ts.events}
-    indeg: dict[str, int] = {s: 0 for s in ts.states}
-    outdeg: dict[str, int] = {s: 0 for s in ts.states}
-    for src, ev, dst in ts.edges:
-        per_event[ev] += 1
-        outdeg[src] += 1
-        indeg[dst] += 1
-    k = max(per_event.values(), default=0)
-    g = max(max(indeg.values()), max(outdeg.values()))
-    linear = g <= 1 and indeg[ts.initial] == 0
-    return TsClass(manifoldness=k, degree=g, linear=linear)
+    k = max(Counter(ev for _, ev, _ in ts.edges).values(), default=0)
+    outdeg = Counter(src for src, _, _ in ts.edges)
+    indeg = Counter(dst for _, _, dst in ts.edges)
+    g = max([*outdeg.values(), *indeg.values()], default=0)
+    return TsClass(manifoldness=k, degree=g, linear=_linear_chain(ts) is not None)
+
+
+def _linear_chain(ts: TransitionSystem) -> tuple[tuple[str, ...], tuple[str, ...]] | None:
+    """(states in chain order, event word) of a linear TS, or None.
+
+    A TS is linear when one chain s0 -e1-> ... -et-> st from the initial
+    state runs through every state.  This is the package's only walk of a
+    chain; it reads the edge list, not ``successors``, and its result is
+    cached in the ``_chain`` slot (``()`` when the TS is not linear).
+    """
+    chain = ts._chain
+    if chain is None:
+        chain = ()
+        n = len(ts.states)
+        # n - 1 edges walked from the initial state through n distinct
+        # states are exactly one chain.
+        if len(ts.edges) == n - 1:
+            step = {src: (ev, dst) for src, ev, dst in ts.edges}
+            state = ts.initial
+            states, word = [state], []
+            while state in step and len(states) < n:
+                event, state = step[state]
+                word.append(event)
+                states.append(state)
+            if len(set(states)) == n:
+                chain = (tuple(states), tuple(word))
+        object.__setattr__(ts, "_chain", chain)
+    return chain or None
 
 
 def linear_word(ts: TransitionSystem) -> list[str]:
     """Event sequence e1..et of a linear TS, in chain order."""
-    if not classify(ts).linear:
+    chain = _linear_chain(ts)
+    if chain is None:
         raise ValueError("linear_word requires a linear transition system")
-    word = []
-    state = ts.initial
-    for _ in range(len(ts.edges)):
-        succ = ts.successors(state)
-        (event, state), = succ.items()
-        word.append(event)
-    return word
+    return list(chain[1])
 
 
 class ParseError(ValueError):
@@ -348,14 +371,17 @@ def serialize_ts(ts: TransitionSystem) -> str:
 
     Events are declared by first use, so an ``event`` line is written only
     where an event would otherwise be declared out of order: just before
-    the edge that first uses a later event, or at the end.
+    the edge that first uses a later event, or at the end.  States can only
+    be declared by first use, so any other state order is rejected.
     """
+    first_use = tuple(dict.fromkeys([ts.initial, *(s for e in ts.edges for s in e[::2])]))
+    if first_use != ts.states:
+        bad = next(s for s, u in zip(ts.states, first_use + (None,)) if s != u)
+        raise ValueError(f"unserializable state order: {bad!r} is isolated or out of first-use order")
     out = [".ts", f"initial {ts.initial}"]
-    mentioned = {ts.initial}
     undeclared = iter(ts.events)
     declared: set[str] = set()
     for src, ev, dst in ts.edges:
-        mentioned.update((src, dst))
         if ev not in declared:
             for early in undeclared:
                 declared.add(early)
@@ -364,8 +390,4 @@ def serialize_ts(ts: TransitionSystem) -> str:
                 out.append(f"event {early}")
         out.append(f"edge {src} {ev} {dst}")
     out.extend(f"event {ev}" for ev in undeclared)
-    orphan = [s for s in ts.states if s not in mentioned]
-    if orphan:
-        # The format cannot declare isolated non-initial states.
-        raise ValueError(f"unserializable isolated states: {orphan}")
     return "\n".join(out) + "\n"

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .regions import Region
-from .ts import Edge, ParseError, TransitionSystem, classify, linear_word, _content_lines, parse_ts
+from .ts import Edge, ParseError, TransitionSystem, _content_lines, _linear_chain, parse_ts
 
 __all__ = [
     "TsUnion",
@@ -66,6 +66,10 @@ class TsUnion:
 
     def __setattr__(self, name, value):
         raise AttributeError("TsUnion is immutable")
+
+    def __reduce__(self):
+        # Copies and pickles rebuild from the components; the index starts empty.
+        return TsUnion, (self.components,)
 
     def has_edge(self, state: str, event: str) -> bool:
         comp = self.components[self.component_of[state]]
@@ -124,15 +128,8 @@ def default_join_plan(union: TsUnion) -> JoinPlan:
     non-linear components must be given explicitly."""
     terminals = []
     for comp in union.components:
-        if classify(comp).linear:
-            state = comp.initial
-            succ = comp.successors(state)
-            while succ:
-                (state,) = succ.values()
-                succ = comp.successors(state)
-            terminals.append(state)
-        else:
-            terminals.append(None)
+        chain = _linear_chain(comp)
+        terminals.append(chain[0][-1] if chain else None)
     return JoinPlan(tuple(terminals))
 
 
@@ -189,13 +186,10 @@ def lift_region(
     sig = region.signature
     members = list(region.members)
     for comp in extras:
-        if not classify(comp).linear:
+        linear = _linear_chain(comp)
+        if linear is None:
             raise ValueError("region lifting requires linear extra components")
-        word = linear_word(comp)
-        chain = [comp.initial]
-        for _ in word:
-            (nxt,) = comp.successors(chain[-1]).values()
-            chain.append(nxt)
+        chain, word = linear
         constrained = [
             k for k, ev in enumerate(word) if sig.get(ev, 0) != 0
         ]

@@ -54,6 +54,11 @@ def linear2_words(count: int, max_len: int, seed: int = 11) -> list[list[str]]:
     return words
 
 
+def reversed_declaration(ts: TransitionSystem) -> TransitionSystem:
+    """The same system with its states declared in reverse order."""
+    return TransitionSystem(ts.states[::-1], ts.events, ts.initial, ts.edges)
+
+
 def random_linear_ts(rng: random.Random, max_len: int, alphabet_size: int) -> TransitionSystem:
     n = rng.randint(1, max_len)
     word = [f"e{rng.randrange(alphabet_size)}" for _ in range(n)]

@@ -255,3 +255,23 @@ def test_check_feasible_output_is_pinned(files, capsys):
         assert run([*flags, "check-feasible", str(files / name)]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest, (name, flags)
+
+
+def test_linear2_commands_reject_a_detached_cycle(files, capsys):
+    path = str(files / "cycle.ts")
+    (files / "cycle.ts").write_text(".ts\ninitial a\nedge b x c\nedge c y b\n")
+    for argv in (["linear2-ssp", path], ["separator", path, "0", "1"]):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert "error: expected a linear 2-fold transition system" in err
+    assert run(["classify", path]) == 0
+    assert "linear no" in capsys.readouterr().out
+
+
+def test_ens_identifiers_are_checked(files, capsys):
+    (files / "bad.ens").write_text('.ens\nplace p"0\ntransition t\nflow p"0 -> t\n')
+    assert run(["export-dot", str(files / "bad.ens")]) == 2
+    assert "invalid identifier 'p\"0'" in capsys.readouterr().err
+    (files / "bad2.ens").write_text(".ens\nplace p0\ntransition t{\n")
+    assert run(["reach-graph", str(files / "bad2.ens")]) == 2
+    assert "line 3" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -199,3 +201,72 @@ def test_round_trip_any_event_declaration_order(seed, n_states, n_events, unused
     text = serialize_ts(ts)
     assert parse_ts(text) == ts
     assert serialize_ts(parse_ts(text)) == text
+
+
+# A detached cycle beside the initial state, and a chain beside an isolated
+# state: every degree is at most 1 and the initial state has no predecessor,
+# yet neither system is one chain.
+DETACHED_CYCLE = TransitionSystem(["a", "b", "c"], ["x", "y"], "a",
+                                  [("b", "x", "c"), ("c", "y", "b")])
+ISOLATED_STATE = TransitionSystem(["a", "b", "c"], ["x"], "a", [("a", "x", "b")])
+
+
+@pytest.mark.parametrize("ts", [DETACHED_CYCLE, ISOLATED_STATE])
+def test_classify_needs_one_chain_through_every_state(ts):
+    assert not classify(ts).linear
+    with pytest.raises(ValueError, match="requires a linear transition system"):
+        linear_word(ts)
+
+
+def test_classify_linear_shapes():
+    assert classify(TransitionSystem(["s0"], ["a"], "s0", [])).linear
+    reversed_chain = TransitionSystem(["s2", "s1", "s0"], ["a", "b"], "s0",
+                                      [("s1", "b", "s2"), ("s0", "a", "s1")])
+    assert classify(reversed_chain).linear
+    assert linear_word(reversed_chain) == ["a", "b"]
+    looped = TransitionSystem(["s0", "s1"], ["a", "b"], "s0",
+                              [("s0", "a", "s1"), ("s1", "b", "s0")])
+    assert not classify(looped).linear
+
+
+def test_linear_chain_does_not_build_successors():
+    ts = TransitionSystem.chain(["a", "b", "a"])
+    assert linear_word(ts) == ["a", "b", "a"]
+    assert ts._succ is None
+
+
+@pytest.mark.parametrize("ts", [
+    ISOLATED_STATE,
+    TransitionSystem(["a", "c", "b"], ["x", "y"], "a", [("a", "x", "b"), ("b", "y", "c")]),
+])
+def test_serialize_rejects_state_order_the_format_cannot_express(ts):
+    with pytest.raises(ValueError, match="unserializable state order: 'c'"):
+        serialize_ts(ts)
+
+
+@pytest.mark.parametrize("clone", [
+    copy.copy, copy.deepcopy, lambda ts: pickle.loads(pickle.dumps(ts)),
+])
+def test_copy_and_pickle_rebuild_without_caches(clone):
+    ts = TransitionSystem.chain(["a", "b", "a"])
+    ts.successors("s0")
+    linear_word(ts)
+    again = clone(ts)
+    assert again == ts and again is not ts
+    assert (again.states, again.events, again.initial, again.edges) == (
+        ts.states, ts.events, ts.initial, ts.edges)
+    assert again._succ is None and again._chain is None and again._index is None
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 8))
+def test_serialize_round_trips_exactly_the_first_use_state_order(seed, n_states):
+    rng = random.Random(seed)
+    ts = random_deterministic_ts(rng, n_states, 3)  # states in first-use order
+    states = list(ts.states)
+    rng.shuffle(states)
+    shuffled = TransitionSystem(states, ts.events, ts.initial, ts.edges)
+    if shuffled.states == ts.states:
+        assert parse_ts(serialize_ts(shuffled)) == shuffled
+    else:
+        with pytest.raises(ValueError, match="unserializable state order"):
+            serialize_ts(shuffled)

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ensynth.linear2 import (
     find_exact_2fold_subsequence,
@@ -6,11 +7,11 @@ from ensynth.linear2 import (
     second_occurrence_index,
     separator,
 )
-from ensynth.regions import check_region, enumerate_regions
+from ensynth.regions import aggregate_signature, check_region, enumerate_regions
 from ensynth.ts import TransitionSystem
 
 from conftest import brute_ssp
-from corpus import linear2_words
+from corpus import linear2_words, reversed_declaration
 
 
 def chain(word):
@@ -125,3 +126,68 @@ def test_nonseparable_pair_of_counterexample():
         q = verdict.counterexample
         regions = enumerate_regions(ts)
         assert all((q.a in r) == (q.b in r) for r in regions), word
+
+
+def exact_2fold_scan(word):
+    """Reference: the O(n^2) window scan.  For i ascending it counts the
+    events that occur once in word[i:t + 1] and stops when none does."""
+    n = len(word)
+    for i in range(n):
+        singles = 0
+        count = {}
+        for t in range(i, n):
+            c = count.get(word[t], 0) + 1
+            count[word[t]] = c
+            singles += 1 if c == 1 else -1
+            if singles == 0:
+                return (i, t + 1)
+    return None
+
+
+two_fold_words = st.lists(st.sampled_from("abcdefgh"), min_size=1, max_size=16).map(
+    lambda word: [ev for k, ev in enumerate(word) if word[:k].count(ev) < 2])
+
+
+@settings(max_examples=300, deadline=None)
+@given(two_fold_words)
+def test_exact_2fold_parity_matches_the_window_scan(word):
+    assert find_exact_2fold_subsequence(chain(word)) == exact_2fold_scan(word)
+
+
+def test_exact_2fold_scan_reference_on_the_random_corpus():
+    for word in linear2_words(count=400, max_len=14, seed=77):
+        assert find_exact_2fold_subsequence(chain(word)) == exact_2fold_scan(word), word
+
+
+@pytest.mark.parametrize("ts", [
+    TransitionSystem(["a", "b", "c"], ["x", "y"], "a", [("b", "x", "c"), ("c", "y", "b")]),
+    TransitionSystem(["a", "b", "c"], ["x"], "a", [("a", "x", "b")]),
+])
+def test_entry_points_reject_systems_that_are_not_one_chain(ts):
+    for call in (linear2_ssp, find_exact_2fold_subsequence, second_occurrence_index,
+                 lambda t: separator(t, 0, 1)):
+        with pytest.raises(ValueError, match="expected a linear 2-fold"):
+            call(ts)
+
+
+def test_chain_order_not_declaration_order():
+    """States declared backwards give the same members everywhere."""
+    for word in (["a", "b", "c", "a", "d", "b"], ["u", "a", "v", "a", "w"]):
+        forward = chain(word)
+        backward = reversed_declaration(forward)
+        ssp_f, ssp_b = linear2_ssp(forward), linear2_ssp(backward)
+        assert ssp_f.holds and ssp_b.holds
+        assert ssp_f.separators.keys() == ssp_b.separators.keys()
+        for pair, res in ssp_f.separators.items():
+            other = ssp_b.separators[pair]
+            assert (other.exit_events, other.enter_events) == (res.exit_events, res.enter_events)
+            assert set(other.region.members) == set(res.region.members)
+        n = len(word)
+        for i in range(n + 1):
+            for j in range(i + 1, n + 1):
+                f, b = separator(forward, i, j), separator(backward, i, j)
+                assert set(f.region.members) == set(b.region.members)
+                for region in ssp_f.witnesses.regions:
+                    mirrored = type(region).from_members(backward, region.members)
+                    assert (aggregate_signature(mirrored, backward, i, j)
+                            == aggregate_signature(region, forward, i, j))

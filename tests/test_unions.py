@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -18,7 +20,7 @@ from ensynth.unions import (
     serialize_union,
 )
 
-from corpus import random_linear_ts
+from corpus import random_linear_ts, reversed_declaration
 
 
 def chain(word, prefix="s"):
@@ -245,3 +247,35 @@ def test_union_regions_match_enumeration():
         brute = {r.mask for r in enumerate_regions(union)}
         solved = {r.mask for r in solve_all_regions(union)}
         assert brute == solved
+
+
+def test_lift_region_and_join_plan_follow_the_chain_not_the_declaration():
+    base = chain(["e"], "a")
+    union = make_union([base])
+    for members in (["a0"], ["a1"]):
+        region = Region.from_members(union, members)
+        extra = chain(["u", "e", "w"], "b")
+        lifted = lift_region(union, region, [extra])
+        again = lift_region(union, region, [reversed_declaration(extra)])
+        assert set(again.members) == set(lifted.members)
+    backwards = make_union([reversed_declaration(chain(["u", "v"], "b")), base])
+    assert default_join_plan(backwards).terminals == ("b2", "a1")
+
+
+def test_default_join_plan_leaves_non_chains_open():
+    isolated = TransitionSystem(["b0", "b1", "b2"], ["x"], "b0", [("b0", "x", "b1")])
+    assert default_join_plan(make_union([isolated, chain(["e"], "a")])).terminals == (None, "a1")
+
+
+@pytest.mark.parametrize("clone", [
+    copy.copy, copy.deepcopy, lambda u: pickle.loads(pickle.dumps(u)),
+])
+def test_union_copy_and_pickle_rebuild_without_index(clone):
+    union = make_union([chain(["a", "b"], "p"), chain(["b"], "q")])
+    verdict = has_ssp(union)  # fills the index
+    again = clone(union)
+    assert again == union and again is not union
+    assert again.states == union.states and again.edges == union.edges
+    assert again.component_of == union.component_of
+    assert again._index is None
+    assert has_ssp(again).holds == verdict.holds
