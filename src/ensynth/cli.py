@@ -289,6 +289,12 @@ def _cmd_reduce(args) -> int:
     return 0
 
 
+def _quoted(name: str) -> str:
+    """A DOT string literal; names that pass the identifier rule need no
+    escape, others get ``\\`` and ``"`` escaped."""
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def export_dot(obj, shade: set[str] = frozenset()) -> str:
     """DOT text for a TS (member states shaded gray) or an ENS
     (places as circles, transitions as boxes, marked places filled)."""
@@ -296,24 +302,24 @@ def export_dot(obj, shade: set[str] = frozenset()) -> str:
     if isinstance(obj, TransitionSystem):
         lines.append("  rankdir=LR;")
         for s in obj.states:
-            attrs = ['label="%s"' % s]
+            attrs = [f"label={_quoted(s)}"]
             if s in shade:
                 attrs.append('style=filled')
                 attrs.append('fillcolor="gray85"')
             if s == obj.initial:
                 attrs.append("penwidth=2")
-            lines.append(f'  "{s}" [{", ".join(attrs)}];')
+            lines.append(f'  {_quoted(s)} [{", ".join(attrs)}];')
         for src, ev, dst in obj.edges:
-            lines.append(f'  "{src}" -> "{dst}" [label="{ev}"];')
+            lines.append(f"  {_quoted(src)} -> {_quoted(dst)} [label={_quoted(ev)}];")
     elif isinstance(obj, synthesis.ElementaryNetSystem):
         for p in obj.places:
             style = "filled" if p in obj.initial_marking else "solid"
             fill = ', fillcolor="gray70"' if p in obj.initial_marking else ""
-            lines.append(f'  "{p}" [shape=circle, style={style}{fill}];')
+            lines.append(f"  {_quoted(p)} [shape=circle, style={style}{fill}];")
         for t in obj.transitions:
-            lines.append(f'  "{t}" [shape=box];')
+            lines.append(f"  {_quoted(t)} [shape=box];")
         for a, b in sorted(obj.flows):
-            lines.append(f'  "{a}" -> "{b}";')
+            lines.append(f"  {_quoted(a)} -> {_quoted(b)};")
     else:
         raise ValueError("export_dot accepts a TransitionSystem or an ElementaryNetSystem")
     lines.append("}")

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate, compress
+from itertools import accumulate, compress, count
+from random import Random
 from typing import Optional
 
 from .properties import SeparationQuery, Verdict, WitnessMap
@@ -56,24 +57,34 @@ def _other_occurrences(word: tuple[str, ...]) -> list[int]:
 def _first_exact_segment(word: tuple[str, ...]) -> Optional[tuple[int, int]]:
     """Smallest i, then smallest j > i, whose prefix parities are equal.
 
-    Each event owns one bit of an int and the parity after k events is
-    the XOR of their bits, so the test is exact.  Every distinct parity is
-    kept, so memory grows with the word length times its event count.
+    The parity after k events is keyed by a Zobrist hash: each event draws
+    a random 64-bit key and the hash is the XOR of the keys so far, so
+    memory stays linear in the word.  Equal parities always have
+    equal hashes, so no hit means no exact segment; a hit is confirmed by
+    counting the events of its segment.  A collision can only pick a pair
+    that fails that count, and then the pass is repeated with fresh keys.
     """
-    bit: dict[str, int] = {}
-    parity = 0
-    first = {0: 0}
-    second: dict[int, int] = {}
-    for k, ev in enumerate(word, 1):
-        parity ^= bit.setdefault(ev, 1 << len(bit))
-        if parity in first:
-            second.setdefault(parity, k)
-        else:
-            first[parity] = k
-    if not second:
-        return None
-    value = min(second, key=first.__getitem__)
-    return first[value], second[value]
+    for seed in count():
+        draw = Random(seed).getrandbits
+        key: dict[str, int] = {}
+        parity = 0
+        first = {0: 0}
+        second: dict[int, int] = {}
+        for k, ev in enumerate(word, 1):
+            bits = key.get(ev)
+            if bits is None:
+                bits = key[ev] = draw(64)
+            parity ^= bits
+            if parity in first:
+                second.setdefault(parity, k)
+            else:
+                first[parity] = k
+        if not second:
+            return None
+        value = min(second, key=first.__getitem__)
+        i, j = first[value], second[value]
+        if all(c == 2 for c in Counter(word[i:j]).values()):
+            return i, j
 
 
 def second_occurrence_index(ts: TransitionSystem) -> list[int]:

@@ -19,7 +19,7 @@ import time
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .regions import (
     Region, RegionConstraint, _bits, _cut_signs, _indexed, _smaller_side, solve_region,
@@ -126,7 +126,15 @@ class WitnessMap(Mapping):
         return self._queries()
 
     def __len__(self):
-        return sum(1 for _ in self._queries())
+        """The query count, from block sizes and per-event counts."""
+        idx = _indexed(self._sys)
+        count = 0
+        if "ssp" in self._kinds:
+            blocks = _Partition(self._sys, idx).blocks
+            count += sum(b.bit_count() * (b.bit_count() - 1) // 2 for b in blocks)
+        if "essp" in self._kinds:
+            count += sum(m.bit_count() for m in _essp_pending(idx))
+        return count
 
 
 @dataclass
@@ -175,35 +183,48 @@ class _Deadline:
             raise TimeoutExceeded(self.checked, self.total)
 
 
-def _run_ssp(sys, deadline: _Deadline, regions: list[Region]):
-    """Cover all intra-component pairs; returns a counterexample or None.
-
-    The states that no witness separates yet form the blocks of a
-    partition, one block per component at the start and refined by every
-    witness, so the open pairs of state i are the later states of its block.
+class _Partition:
+    """The states that no absorbed region separates yet, as the blocks of a
+    partition: one block per component at the start, refined by every
+    region, so the open pairs of a state are the other states of its block.
     """
-    idx = _indexed(sys)
-    n = len(idx.states)
-    component_of = getattr(sys, "component_of", None)
-    block_of = [0] * n if component_of is None else [component_of[s] for s in idx.states]
-    blocks = [0] * (max(block_of) + 1)
-    for i, b in enumerate(block_of):
-        blocks[b] |= 1 << i
-    components, component_ids = list(blocks), list(block_of)
 
-    def absorb(region: Region):
-        m = region.mask
-        for b in set(map(block_of.__getitem__, _smaller_side(_bits(m, n)))):
+    def __init__(self, sys, idx):
+        component_of = getattr(sys, "component_of", None)
+        if component_of is None:
+            self.block_of = [0] * len(idx.states)
+        else:
+            self.block_of = [component_of[s] for s in idx.states]
+        self.blocks = [0] * (max(self.block_of) + 1)
+        for i, b in enumerate(self.block_of):
+            self.blocks[b] |= 1 << i
+
+    def absorb(self, mask: int, bits: bytes):
+        """Split every block the region cuts; ``bits`` is ``_bits(mask)``."""
+        blocks, block_of = self.blocks, self.block_of
+        for b in set(map(block_of.__getitem__, _smaller_side(bits))):
             block = blocks[b]
-            inside = block & m
+            inside = block & mask
             if inside == 0 or inside == block:
                 continue
             outside = block ^ inside
             part = inside if inside.bit_count() <= outside.bit_count() else outside
             blocks[b] = block ^ part
-            for i in compress(range(n), _bits(part, n)):
+            for i in compress(range(len(bits)), _bits(part, len(bits))):
                 block_of[i] = len(blocks)
             blocks.append(part)
+
+
+def _run_ssp(sys, deadline: _Deadline, regions: list[Region]):
+    """Cover all intra-component pairs; returns a counterexample or None."""
+    idx = _indexed(sys)
+    n = len(idx.states)
+    partition = _Partition(sys, idx)
+    blocks, block_of = partition.blocks, partition.block_of
+    components, component_ids = list(blocks), list(block_of)
+
+    def absorb(region: Region):
+        partition.absorb(region.mask, _bits(region.mask, n))
 
     for region in regions:
         absorb(region)
@@ -230,26 +251,36 @@ def _run_ssp(sys, deadline: _Deadline, regions: list[Region]):
     return None
 
 
+def _essp_pending(idx) -> list[int]:
+    """Per event id, the mask of the states at which the event is not enabled."""
+    full = (1 << len(idx.states)) - 1
+    pending = []
+    for eids in idx.event_edges:
+        enabled = 0
+        for eid in eids:
+            enabled |= 1 << idx.esrc[eid]
+        pending.append(full & ~enabled)
+    return pending
+
+
+def _absorb_cut(pending: list[int], mask: int, signs: dict[int, int]):
+    """Drop from ``pending`` the (event, state) queries a region answers:
+    an exiting event is inhibited outside it, an entering one inside."""
+    for k, v in signs.items():
+        if pending[k]:
+            pending[k] &= mask if v < 0 else ~mask
+
+
 def _run_essp(sys, deadline: _Deadline, regions: list[Region], exhaustive: bool):
     """Cover all non-vacuous (event, state) queries; returns failing queries."""
     idx = _indexed(sys)
     n = len(idx.states)
-    esrc = idx.esrc
-    full = (1 << n) - 1
     # pending[k]: states at which event k is not enabled and not yet inhibited.
-    pending: list[int] = []
-    for eids in idx.event_edges:
-        enabled = 0
-        for eid in eids:
-            enabled |= 1 << esrc[eid]
-        pending.append(full & ~enabled)
+    pending = _essp_pending(idx)
     deadline.total += sum(m.bit_count() for m in pending)
 
     def absorb(region: Region):
-        m = region.mask
-        for k, v in _cut_signs(idx, _bits(m, n)).items():
-            if pending[k]:
-                pending[k] &= m if v < 0 else ~m
+        _absorb_cut(pending, region.mask, _cut_signs(idx, _bits(region.mask, n)))
 
     for region in regions:
         absorb(region)
@@ -342,52 +373,42 @@ def is_feasible(sys, timeout: float | None = None) -> Verdict:
     )
 
 
-def _check_witness_set(sys, regions) -> list[Region]:
-    checked = []
+def _witness_cuts(sys, regions) -> Iterator[tuple[int, bytes, dict[int, int]]]:
+    """(mask, membership bytes, cut signs) of each region of a witness set,
+    which must all be regions of ``sys``."""
+    idx = _indexed(sys)
+    n = len(idx.states)
     for region in regions:
         if not isinstance(region, Region):
             raise ValueError("witness sets contain Region values")
         if region.system is not sys and region.system != sys:
             raise ValueError("region does not belong to the checked system")
-        region.signature  # raises through from_members if inconsistent
-        checked.append(region)
-    return checked
+        bits = _bits(region.mask, n)
+        signs = _cut_signs(idx, bits)
+        if signs is None:
+            raise ValueError("membership set is not a region of the system")
+        yield region.mask, bits, signs
 
 
 def is_ssp_witness(sys, regions: Iterable[Region]) -> bool:
-    """True iff every intra-component state pair is separated by the set."""
-    regions = _check_witness_set(sys, regions)
-    idx = _indexed(sys)
-    n = len(idx.states)
-    full = (1 << n) - 1
-    sep = [0] * n
-    for region in regions:
-        m = region.mask
-        inv = full & ~m
-        for i in range(n):
-            sep[i] |= inv if (m >> i) & 1 else m
-    for query in _ssp_queries(sys):
-        i = idx.state_pos[query.a]
-        j = idx.state_pos[query.b]
-        if not (sep[i] >> j) & 1:
-            return False
-    return True
+    """True iff every intra-component state pair is separated by the set.
+
+    The regions refine the partition of :func:`has_ssp`'s sweep; the set is
+    a witness iff every block ends up a single state.
+    """
+    partition = _Partition(sys, _indexed(sys))
+    for mask, bits, _ in _witness_cuts(sys, regions):
+        partition.absorb(mask, bits)
+    return all(b & (b - 1) == 0 for b in partition.blocks)
 
 
 def is_essp_witness(sys, regions: Iterable[Region]) -> bool:
-    """True iff every non-vacuous (event, state) query is answered by the set."""
-    regions = _check_witness_set(sys, regions)
-    idx = _indexed(sys)
-    covered: dict[str, int] = {e: 0 for e in idx.events}
-    full = (1 << len(idx.states)) - 1
-    for region in regions:
-        m = region.mask
-        for ev, v in region.signature.items():
-            if v == -1:
-                covered[ev] |= full & ~m
-            elif v == 1:
-                covered[ev] |= m
-    for query in _essp_queries(sys):
-        if not (covered[query.a] >> idx.state_pos[query.b]) & 1:
-            return False
-    return True
+    """True iff every non-vacuous (event, state) query is answered by the set.
+
+    The regions are absorbed through the edges they cut, as in
+    :func:`has_essp`'s sweep; the set is a witness iff no query is left.
+    """
+    pending = _essp_pending(_indexed(sys))
+    for mask, _, signs in _witness_cuts(sys, regions):
+        _absorb_cut(pending, mask, signs)
+    return not any(pending)

@@ -12,10 +12,11 @@ report instead of being rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import compress
 from typing import Optional, Sequence
 
-from .regions import Region
+from .regions import Region, _bits
 from .ts import (
     Edge,
     ParseError,
@@ -40,20 +41,60 @@ __all__ = [
 ]
 
 
+_AMBIGUOUS = "both ends name a place and a transition"
+
+
 @dataclass(frozen=True)
 class ElementaryNetSystem:
-    """Places, transitions, flow arcs, initial marking."""
+    """Places, transitions, flow arcs, initial marking.
+
+    A flow pair (a, b) is read as place -> transition or as transition ->
+    place, whichever fits the declarations; a pair that fits both is
+    refused.  The input and output places of every transition are
+    computed once, on first use, and kept in ``_index``.
+    """
 
     places: tuple[str, ...]
     transitions: tuple[str, ...]
     flows: frozenset[tuple[str, str]]
     initial_marking: frozenset[str]
+    _index: Optional[tuple[dict, dict]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def inputs(self, transition: str) -> frozenset[str]:
-        return frozenset(p for p, t in self.flows if t == transition and p in self.places)
+        return _net_index(self)[0].get(transition, frozenset())
 
     def outputs(self, transition: str) -> frozenset[str]:
-        return frozenset(p for t, p in self.flows if t == transition and p in self.places)
+        return _net_index(self)[1].get(transition, frozenset())
+
+
+def _net_index(net: ElementaryNetSystem) -> tuple[dict, dict]:
+    """(input places, output places) of every transition, by name."""
+    index = net._index
+    if index is None:
+        places, transitions = set(net.places), set(net.transitions)
+        pre: dict[str, set[str]] = {t: set() for t in net.transitions}
+        post: dict[str, set[str]] = {t: set() for t in net.transitions}
+        ambiguous = []
+        for a, b in net.flows:
+            consumes = a in places and b in transitions
+            produces = a in transitions and b in places
+            if consumes and produces:
+                ambiguous.append((a, b))
+            elif consumes:
+                pre[b].add(a)
+            elif produces:
+                post[a].add(b)
+        if ambiguous:
+            a, b = min(ambiguous)
+            raise ValueError(f"ambiguous flow {a} -> {b}: {_AMBIGUOUS}")
+        index = (
+            {t: frozenset(ps) for t, ps in pre.items()},
+            {t: frozenset(ps) for t, ps in post.items()},
+        )
+        object.__setattr__(net, "_index", index)
+    return index
 
 
 def synthesize(ts: TransitionSystem, regions: Sequence[Region]) -> ElementaryNetSystem:
@@ -73,12 +114,8 @@ def synthesize(ts: TransitionSystem, regions: Sequence[Region]) -> ElementaryNet
     marked: set[str] = set()
     for name, region in zip(places, regions):
         sig = region.signature
-        for e in ts.events:
-            v = sig[e]
-            if v == -1:
-                flows.add((name, e))
-            elif v == 1:
-                flows.add((e, name))
+        for e, v in compress(sig.items(), sig.values()):  # the non-obeying events
+            flows.add((name, e) if v == -1 else (e, name))
         if ts.initial in region:
             marked.add(name)
     return ElementaryNetSystem(places, tuple(ts.events), frozenset(flows), frozenset(marked))
@@ -93,10 +130,10 @@ def fire(
     result removes the inputs and adds the outputs.  An event with no flow
     arcs fires as the identity.
     """
-    if event not in net.transitions:
+    pre, post = _net_index(net)
+    if event not in pre:
         raise ValueError(f"unknown transition {event!r}")
-    inputs = net.inputs(event)
-    outputs = net.outputs(event)
+    inputs, outputs = pre[event], post[event]
     if not inputs <= marking or outputs & marking:
         return None
     return (marking - inputs) | outputs
@@ -117,8 +154,8 @@ def reachability_graph(net: ElementaryNetSystem) -> ReachabilityGraph:
     The result can violate loop-freeness or simplicity (e.g. flowless
     events loop on every marking), which the attached report records.
     """
-    inputs = {e: net.inputs(e) for e in net.transitions}
-    outputs = {e: net.outputs(e) for e in net.transitions}
+    pre, post = _net_index(net)
+    arcs = [(e, pre[e], post[e]) for e in net.transitions]
     names: dict[frozenset[str], str] = {net.initial_marking: "M0"}
     order = [net.initial_marking]
     edges: list[Edge] = []
@@ -126,10 +163,10 @@ def reachability_graph(net: ElementaryNetSystem) -> ReachabilityGraph:
     while head < len(order):
         marking = order[head]
         head += 1
-        for e in net.transitions:
-            if not inputs[e] <= marking or outputs[e] & marking:
+        for e, inputs, outputs in arcs:
+            if not inputs <= marking or not outputs.isdisjoint(marking):
                 continue
-            nxt = (marking - inputs[e]) | outputs[e]
+            nxt = (marking - inputs) | outputs
             name = names.get(nxt)
             if name is None:
                 name = f"M{len(names)}"
@@ -152,11 +189,11 @@ def check_morphism(ts: TransitionSystem, regions: Sequence[Region]) -> bool:
     """
     net = synthesize(ts, regions)
     rg = reachability_graph(net)
-    marking_of_state = {}
-    for s in ts.states:
-        marking_of_state[s] = frozenset(
-            f"p{i}" for i, r in enumerate(regions) if s in r
-        )
+    places_of: list[list[str]] = [[] for _ in ts.states]
+    for place, region in zip(net.places, regions):
+        for held in compress(places_of, _bits(region.mask, len(ts.states))):
+            held.append(place)
+    marking_of_state = dict(zip(ts.states, map(frozenset, places_of)))
     reachable = set(rg.markings.values())
     if set(marking_of_state.values()) != reachable:
         return False
@@ -236,7 +273,7 @@ def parse_ens(text: str) -> ElementaryNetSystem:
         raise ParseError("expected '.ens' header", lines[0][0] if lines else None)
     places: dict[str, None] = {}
     transitions: dict[str, None] = {}
-    flows: set[tuple[str, str]] = set()
+    flows: dict[tuple[str, str], int] = {}  # pair -> line number
     marked: list[str] = []
     for number, line in lines[1:]:
         fields = line.split()
@@ -246,10 +283,10 @@ def parse_ens(text: str) -> ElementaryNetSystem:
             transitions.setdefault(_check_identifier(fields[1], number), None)
         elif fields[0] == "flow" and len(fields) == 4 and fields[2] == "->":
             src, dst = fields[1], fields[3]
-            if src in places and dst in transitions:
-                flows.add((src, dst))
-            elif src in transitions and dst in places:
-                flows.add((src, dst))
+            if (src in places and dst in transitions) or (
+                src in transitions and dst in places
+            ):
+                flows.setdefault((src, dst), number)
             else:
                 raise ParseError(
                     "flow must connect a declared place and transition", number
@@ -261,24 +298,30 @@ def parse_ens(text: str) -> ElementaryNetSystem:
                 marked.append(p)
         else:
             raise ParseError(f"unknown directive {fields[0]!r}", number)
+    both = places.keys() & transitions.keys()
+    for (src, dst), number in flows.items():
+        if src in both and dst in both:
+            raise ParseError(f"ambiguous flow {src} -> {dst}: {_AMBIGUOUS}", number)
     return ElementaryNetSystem(
         tuple(places), tuple(transitions), frozenset(flows), frozenset(marked)
     )
 
 
 def serialize_ens(net: ElementaryNetSystem) -> str:
+    """Declarations, then the place -> transition arcs by place, then the
+    transition -> place arcs by transition, each in declaration order."""
+    pre, post = _net_index(net)
+    place_pos = {p: i for i, p in enumerate(net.places)}
     out = [".ens"]
     out.extend(f"place {p}" for p in net.places)
     out.extend(f"transition {t}" for t in net.transitions)
-    place_set = set(net.places)
-    for p in net.places:
-        for t in net.transitions:
-            if (p, t) in net.flows:
-                out.append(f"flow {p} -> {t}")
+    consumed = sorted(
+        (place_pos[p], k) for k, t in enumerate(net.transitions) for p in pre[t]
+    )
+    out.extend(f"flow {net.places[i]} -> {net.transitions[k]}" for i, k in consumed)
     for t in net.transitions:
-        for p in net.places:
-            if (t, p) in net.flows:
-                out.append(f"flow {t} -> {p}")
+        produced = sorted(post[t], key=place_pos.__getitem__)
+        out.extend(f"flow {t} -> {p}" for p in produced)
     marked = [p for p in net.places if p in net.initial_marking]
     if marked:
         out.append("initial " + " ".join(marked))

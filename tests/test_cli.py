@@ -11,7 +11,7 @@ import ensynth
 from ensynth.cli import export_dot, run
 from ensynth.reductions import CubicMonotoneFormula, build_linear3_essp
 from ensynth.regions import Region, enumerate_regions
-from ensynth.synthesis import synthesize
+from ensynth.synthesis import ElementaryNetSystem, synthesize
 from ensynth.ts import TransitionSystem, serialize_ts
 from ensynth.unions import join, serialize_union
 
@@ -255,6 +255,62 @@ def test_check_feasible_output_is_pinned(files, capsys):
         assert run([*flags, "check-feasible", str(files / name)]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest, (name, flags)
+
+
+# SHA-256 of the synthesis commands' stdout on the PHI1 instance, recorded
+# before nets got their pre/post index.
+SYNTHESIS_GOLDEN = {
+    "synthesize": "8a920dec240e43ce28b41ab9d652d259c1c32ca34e7d044cb7f4b383e18cc75e",
+    "reach-graph": "f943937549b56344b71e085787ed7514f58969bd4477061add9e4f778ef277f5",
+    "export-dot .ens": "9b8f836359a024ba16d4b8c2e903cbd5349bcd3446777241b820b40c07af3b4c",
+    "export-dot .ts": "044d4cbbaba129dd48673ecb14adaf75097537b92ddc1bf5e6e64b94d704bd9a",
+}
+
+
+def test_synthesis_output_is_pinned(files, capsys):
+    instance = build_linear3_essp(CubicMonotoneFormula(PHI1, check=False))
+    ts_path, ens_path = str(files / "phi1.ts"), str(files / "phi1.ens")
+    (files / "phi1.ts").write_text(serialize_ts(join(instance.union, instance.join_plan)))
+    digests = {}
+    for name, argv in (
+        ("synthesize", ["synthesize", "--witness", "feasible", ts_path]),
+        ("reach-graph", ["reach-graph", ens_path]),
+        ("export-dot .ens", ["export-dot", ens_path]),
+        ("export-dot .ts", ["export-dot", ts_path]),
+    ):
+        assert run(argv) == 0
+        out = capsys.readouterr().out
+        if name == "synthesize":
+            (files / "phi1.ens").write_text(out)
+        digests[name] = hashlib.sha256(out.encode()).hexdigest()
+    assert digests == SYNTHESIS_GOLDEN
+
+
+def test_ambiguous_ens_flow_exits_2(files, capsys):
+    (files / "clash.ens").write_text(
+        ".ens\nplace p0\nplace p1\ntransition p0\ntransition p1\nflow p0 -> p1\n")
+    for command in ("reach-graph", "export-dot"):
+        assert run([command, str(files / "clash.ens")]) == 2
+        assert "line 6: ambiguous flow p0 -> p1" in capsys.readouterr().err
+
+
+def test_synthesize_refuses_an_ambiguous_net(files, capsys):
+    (files / "clash.ts").write_text(serialize_ts(TransitionSystem.chain(["p0", "p1"])))
+    assert run(["synthesize", "--witness", "feasible", str(files / "clash.ts")]) == 2
+    assert "error: ambiguous flow p0 -> p0" in capsys.readouterr().err
+
+
+def test_export_dot_escapes_quotes_and_backslashes():
+    ts = TransitionSystem(['a"b', "c\\d"], ['e"'], 'a"b', [('a"b', 'e"', "c\\d")])
+    dot = export_dot(ts, {"c\\d"})
+    assert r'  "a\"b" [label="a\"b", penwidth=2];' in dot
+    assert r'  "c\\d" [label="c\\d", style=filled, fillcolor="gray85"];' in dot
+    assert r'  "a\"b" -> "c\\d" [label="e\""];' in dot
+    net = ElementaryNetSystem(('p"',), ("t\\",), frozenset({('p"', "t\\")}), frozenset())
+    dot = export_dot(net)
+    assert r'  "p\"" [shape=circle, style=solid];' in dot
+    assert r'  "t\\" [shape=box];' in dot
+    assert r'  "p\"" -> "t\\";' in dot
 
 
 def test_linear2_commands_reject_a_detached_cycle(files, capsys):

@@ -1,6 +1,11 @@
+import random
+import tracemalloc
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ensynth import linear2
 from ensynth.linear2 import (
     find_exact_2fold_subsequence,
     linear2_ssp,
@@ -152,6 +157,36 @@ two_fold_words = st.lists(st.sampled_from("abcdefgh"), min_size=1, max_size=16).
 @given(two_fold_words)
 def test_exact_2fold_parity_matches_the_window_scan(word):
     assert find_exact_2fold_subsequence(chain(word)) == exact_2fold_scan(word)
+
+
+class SixBitKeys(random.Random):
+    """Zobrist keys of 6 bits, so distinct parities often share a hash."""
+
+    def getrandbits(self, k):
+        return super().getrandbits(6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(two_fold_words)
+def test_exact_2fold_parity_survives_hash_collisions(word):
+    """The count that confirms a hit rejects colliding pairs, and the pass
+    is repeated with fresh keys until the answer is exact."""
+    with mock.patch.object(linear2, "Random", SixBitKeys):
+        assert find_exact_2fold_subsequence(chain(word)) == exact_2fold_scan(word)
+
+
+def test_exact_2fold_scan_memory_is_linear():
+    """20,000 edges whose prefix parities are all distinct but the last:
+    wide exact parities took about 29 MB here."""
+    ts = chain([f"e{k}" for k in range(10_000)] * 2)
+    find_exact_2fold_subsequence(ts)  # builds the cached chain outside the trace
+    tracemalloc.start()
+    try:
+        assert find_exact_2fold_subsequence(ts) == (0, 20_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6_000_000
 
 
 def test_exact_2fold_scan_reference_on_the_random_corpus():

@@ -130,6 +130,14 @@ def test_witness_set_checks():
         is_essp_witness(ts, ["not a region"])
 
 
+def test_witness_checks_refuse_a_mask_that_is_not_a_region():
+    twice = TransitionSystem.chain(["a", "a"])
+    not_a_region = Region(twice, 0b010)  # a would both enter and exit {s1}
+    for check in (is_ssp_witness, is_essp_witness):
+        with pytest.raises(ValueError, match="not a region"):
+            check(twice, [not_a_region])
+
+
 def test_union_pairs_skip_components():
     a = TransitionSystem.chain(["x", "x"], prefix="a")
     b = TransitionSystem.chain(["y", "y"], prefix="b")

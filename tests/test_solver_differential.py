@@ -2,7 +2,8 @@
 
 Random deterministic systems and two-component unions of at most 12
 states are checked against ``enumerate_regions`` and the exhaustive
-``conftest.brute_*`` deciders.  Some systems declare an event without
+``conftest.brute_*`` deciders; the witness-set checks and the query
+count of a witness map are checked against a pass over every query.  Some systems declare an event without
 edges, whose signature is 0 in every region.
 """
 
@@ -10,7 +11,9 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from ensynth.properties import has_essp, has_ssp, is_feasible
+from ensynth.properties import (
+    WitnessMap, has_essp, has_ssp, is_essp_witness, is_feasible, is_ssp_witness,
+)
 from ensynth.regions import RegionConstraint, enumerate_regions, solve_all_regions, solve_region
 from ensynth.ts import TransitionSystem
 from ensynth.unions import TsUnion
@@ -85,3 +88,56 @@ def test_deciders_match_brute_force(sys_obj):
     assert has_ssp(sys_obj).holds == brute_ssp(sys_obj)
     assert has_essp(sys_obj).holds == brute_essp(sys_obj)
     assert is_feasible(sys_obj).holds == brute_feasible(sys_obj)
+
+
+def _ssp_pairs(sys_obj):
+    component_of = getattr(sys_obj, "component_of", None)
+    states = sys_obj.states
+    for i, s in enumerate(states):
+        for s2 in states[i + 1:]:
+            if component_of is None or component_of[s] == component_of[s2]:
+                yield s, s2
+
+
+def _essp_pairs(sys_obj):
+    enabled = {(src, ev) for src, ev, _ in sys_obj.edges}
+    for e in sys_obj.events:
+        for s in sys_obj.states:
+            if (s, e) not in enabled:
+                yield e, s
+
+
+def brute_ssp_witness(sys_obj, regions) -> bool:
+    return all(any((s in r) != (s2 in r) for r in regions) for s, s2 in _ssp_pairs(sys_obj))
+
+
+def brute_essp_witness(sys_obj, regions) -> bool:
+    return all(
+        any((r.signature[e] == -1 and s not in r) or (r.signature[e] == 1 and s in r)
+            for r in regions)
+        for e, s in _essp_pairs(sys_obj)
+    )
+
+
+@EXAMPLES
+@given(systems(), st.data())
+def test_witness_checks_match_brute_force(sys_obj, data):
+    every = enumerate_regions(sys_obj)
+    assert is_ssp_witness(sys_obj, every) == brute_ssp(sys_obj)
+    assert is_essp_witness(sys_obj, every) == brute_essp(sys_obj)
+    found = is_feasible(sys_obj).witnesses.regions
+    dropped = list(found)
+    if dropped:
+        del dropped[data.draw(st.integers(0, len(dropped) - 1))]
+    for regions in (found, dropped):
+        assert is_ssp_witness(sys_obj, regions) == brute_ssp_witness(sys_obj, regions)
+        assert is_essp_witness(sys_obj, regions) == brute_essp_witness(sys_obj, regions)
+
+
+@EXAMPLES
+@given(systems())
+def test_witness_map_length_counts_every_query(sys_obj):
+    ssp, essp = len(list(_ssp_pairs(sys_obj))), len(list(_essp_pairs(sys_obj)))
+    for kinds, expected in ((), 0), (("ssp",), ssp), (("essp",), essp), (("ssp", "essp"), ssp + essp):
+        witnesses = WitnessMap(sys_obj, kinds, [])
+        assert len(witnesses) == expected == sum(1 for _ in witnesses)

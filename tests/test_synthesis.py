@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ensynth.properties import has_essp, is_feasible
 from ensynth.regions import Region, enumerate_regions
@@ -13,7 +14,7 @@ from ensynth.synthesis import (
     synthesize,
     ts_isomorphic,
 )
-from ensynth.ts import TransitionSystem
+from ensynth.ts import Edge, ParseError, TransitionSystem
 
 from corpus import random_linear_ts, small_ts_corpus
 
@@ -187,3 +188,166 @@ def test_parse_ens_errors():
         parse_ens(".ens\nflow p0 -> t0\n")
     with pytest.raises(ParseError):
         parse_ens(".ens\nplace p0\ninitial qX\n")
+
+
+# -- flows whose ends name both a place and a transition ------------------
+
+
+@pytest.mark.parametrize("word", [["p0", "p1"], ["p1", "p0"], ["p0", "p1", "p2"]])
+def test_ambiguous_synthesized_flow_is_refused(word):
+    """Events named like places make a flow pair readable both ways; every
+    reader of the net refuses it instead of building a wrong graph."""
+    ts = TransitionSystem.chain(word)
+    regions = is_feasible(ts).witnesses.regions
+    net = synthesize(ts, regions)
+    for read in (reachability_graph, serialize_ens, lambda n: fire(n, frozenset(), word[0]),
+                 lambda n: n.inputs(word[0]), lambda _: check_morphism(ts, regions)):
+        with pytest.raises(ValueError, match="ambiguous flow p"):
+            read(net)
+
+
+def test_ambiguous_ens_flow_is_a_parse_error():
+    text = ".ens\nplace p0\nplace p1\ntransition p0\ntransition p1\nflow p0 -> p1\n"
+    with pytest.raises(ParseError, match="line 6: ambiguous flow p0 -> p1"):
+        parse_ens(text)
+    # a later declaration can make an earlier flow ambiguous
+    late = ".ens\nplace a\ntransition b\nflow a -> b\nplace b\ntransition a\n"
+    with pytest.raises(ParseError, match="line 4: ambiguous flow a -> b"):
+        parse_ens(late)
+
+
+def test_clashing_but_unambiguous_names_are_read_the_one_way():
+    ts = TransitionSystem.chain(["a", "p0", "b"])
+    regions = is_feasible(ts).witnesses.regions
+    net = synthesize(ts, regions)
+    assert set(net.places) & set(net.transitions) == {"p0"}
+    assert check_morphism(ts, regions)
+    rg = reachability_graph(net)
+    assert ts_isomorphic(ts, rg.ts) and language_equal(ts, rg.ts)
+    assert parse_ens(serialize_ens(net)) == net
+    # place x and transition x: (x, t) consumes, (x, q) produces
+    net = ElementaryNetSystem(
+        ("x", "q"), ("x", "t"), frozenset({("x", "t"), ("x", "q")}), frozenset({"x"}))
+    assert net.inputs("t") == {"x"} and net.outputs("x") == {"q"}
+    assert net.inputs("x") == net.outputs("t") == frozenset()
+    assert fire(net, frozenset({"x"}), "t") == frozenset()
+    assert fire(net, frozenset({"x"}), "x") == frozenset({"x", "q"})
+
+
+def test_net_index_is_not_part_of_equality_or_repr():
+    ts = single_edge()
+    net = synthesize(ts, enumerate_regions(ts))
+    fresh = synthesize(ts, enumerate_regions(ts))
+    reachability_graph(net)
+    assert net._index is not None and fresh._index is None
+    assert net == fresh and hash(net) == hash(fresh) and repr(net) == repr(fresh)
+    assert "_index" not in repr(net)
+
+
+# -- the flow-scan readers the net index replaced, kept as references -----
+
+
+def scan_inputs(net, t):
+    return frozenset(p for p, u in net.flows if u == t and p in net.places)
+
+
+def scan_outputs(net, t):
+    return frozenset(p for u, p in net.flows if u == t and p in net.places)
+
+
+def scan_fire(net, marking, event):
+    if event not in net.transitions:
+        raise ValueError(f"unknown transition {event!r}")
+    inputs, outputs = scan_inputs(net, event), scan_outputs(net, event)
+    if not inputs <= marking or outputs & marking:
+        return None
+    return (marking - inputs) | outputs
+
+
+def scan_reachability_graph(net):
+    names = {net.initial_marking: "M0"}
+    order = [net.initial_marking]
+    edges: list[Edge] = []
+    head = 0
+    while head < len(order):
+        marking = order[head]
+        head += 1
+        for e in net.transitions:
+            nxt = scan_fire(net, marking, e)
+            if nxt is None:
+                continue
+            if nxt not in names:
+                names[nxt] = f"M{len(names)}"
+                order.append(nxt)
+            edges.append((names[marking], e, names[nxt]))
+    ts = TransitionSystem([names[m] for m in order], net.transitions, "M0", edges)
+    return ts, {names[m]: m for m in order}
+
+
+def scan_serialize_ens(net):
+    out = [".ens"]
+    out.extend(f"place {p}" for p in net.places)
+    out.extend(f"transition {t}" for t in net.transitions)
+    for p in net.places:
+        for t in net.transitions:
+            if (p, t) in net.flows:
+                out.append(f"flow {p} -> {t}")
+    for t in net.transitions:
+        for p in net.places:
+            if (t, p) in net.flows:
+                out.append(f"flow {t} -> {p}")
+    marked = [p for p in net.places if p in net.initial_marking]
+    if marked:
+        out.append("initial " + " ".join(marked))
+    return "\n".join(out) + "\n"
+
+
+@st.composite
+def nets(draw):
+    """A net of at most 6 places and 5 transitions whose names may clash
+    (a name can be both a place and a transition) but whose flows all have
+    exactly one reading."""
+    names = ["p0", "p1", "p2", "a", "b", "x.1", "y-2", "q:3"]
+    places = draw(st.lists(st.sampled_from(names), max_size=6, unique=True))
+    transitions = draw(st.lists(st.sampled_from(names), min_size=1, max_size=5, unique=True))
+    pairs = {(p, t) for p in places for t in transitions}
+    pairs |= {(t, p) for t in transitions for p in places}
+    clash = set(places) & set(transitions)
+    readable = sorted((a, b) for a, b in pairs if not (a in clash and b in clash))
+    flows = draw(st.sets(st.sampled_from(readable), max_size=12)) if readable else set()
+    marked = draw(st.sets(st.sampled_from(places))) if places else set()
+    return ElementaryNetSystem(
+        tuple(places), tuple(transitions), frozenset(flows), frozenset(marked))
+
+
+@settings(max_examples=200, deadline=None)
+@given(nets())
+def test_ens_round_trip(net):
+    text = serialize_ens(net)
+    assert parse_ens(text) == net
+    assert serialize_ens(parse_ens(text)) == text
+
+
+@settings(max_examples=200, deadline=None)
+@given(nets())
+def test_net_index_matches_the_flow_scan(net):
+    assert serialize_ens(net) == scan_serialize_ens(net)
+    rg = reachability_graph(net)
+    ts, markings = scan_reachability_graph(net)
+    assert rg.ts == ts and rg.ts.edges == ts.edges and rg.markings == markings
+    for marking in markings.values():
+        for t in net.transitions:
+            assert net.inputs(t) == scan_inputs(net, t)
+            assert net.outputs(t) == scan_outputs(net, t)
+            assert fire(net, marking, t) == scan_fire(net, marking, t)
+
+
+def test_net_index_matches_the_flow_scan_on_synthesized_nets():
+    for ts in small_ts_corpus():
+        if len(ts.states) > 12:
+            continue
+        net = synthesize(ts, enumerate_regions(ts))
+        assert serialize_ens(net) == scan_serialize_ens(net)
+        rg = reachability_graph(net)
+        scanned, markings = scan_reachability_graph(net)
+        assert rg.ts == scanned and rg.ts.edges == scanned.edges and rg.markings == markings
