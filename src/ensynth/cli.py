@@ -171,7 +171,10 @@ def _cmd_check_feasible(args) -> int:
 
 def _cmd_separator(args) -> int:
     ts = _load_ts(args)
-    result = linear2.separator(ts, args.i, args.j)
+    try:
+        result = linear2.separator(ts, args.i, args.j)
+    except IndexError as exc:
+        raise _InputError(str(exc)) from None
     if not result.found or result.region is None:
         _emit(args, {"separable": False}, ["UNSEPARABLE"])
         return 1

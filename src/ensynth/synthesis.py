@@ -49,8 +49,9 @@ class ElementaryNetSystem:
     """Places, transitions, flow arcs, initial marking.
 
     A flow pair (a, b) is read as place -> transition or as transition ->
-    place, whichever fits the declarations; a pair that fits both is
-    refused.  The input and output places of every transition are
+    place, whichever fits the declarations; a pair that fits both or
+    neither is refused, and so is an initially marked place that is not
+    declared.  The input and output places of every transition are
     computed once, on first use, and kept in ``_index``.
     """
 
@@ -76,7 +77,7 @@ def _net_index(net: ElementaryNetSystem) -> tuple[dict, dict]:
         places, transitions = set(net.places), set(net.transitions)
         pre: dict[str, set[str]] = {t: set() for t in net.transitions}
         post: dict[str, set[str]] = {t: set() for t in net.transitions}
-        ambiguous = []
+        ambiguous, dangling = [], []
         for a, b in net.flows:
             consumes = a in places and b in transitions
             produces = a in transitions and b in places
@@ -86,9 +87,17 @@ def _net_index(net: ElementaryNetSystem) -> tuple[dict, dict]:
                 pre[b].add(a)
             elif produces:
                 post[a].add(b)
+            else:
+                dangling.append((a, b))
         if ambiguous:
             a, b = min(ambiguous)
             raise ValueError(f"ambiguous flow {a} -> {b}: {_AMBIGUOUS}")
+        if dangling:
+            a, b = min(dangling)
+            raise ValueError(f"flow {a} -> {b} does not connect a declared place and transition")
+        if not net.initial_marking <= places:
+            p = min(net.initial_marking - places)
+            raise ValueError(f"initially marked place {p!r} is not declared")
         index = (
             {t: frozenset(ps) for t, ps in pre.items()},
             {t: frozenset(ps) for t, ps in post.items()},

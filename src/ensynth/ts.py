@@ -44,9 +44,11 @@ class TransitionSystem:
     five admissibility conditions are checked by :func:`validate`.
     """
 
-    # ``_index`` (the integer index of ensynth.regions) and ``_chain`` (see
-    # :func:`_linear_chain`) are built on first use, never by the constructor.
-    __slots__ = ("states", "events", "initial", "edges", "_succ", "_chain", "_hash", "_index")
+    # ``_index`` (the integer index of ensynth.regions), ``_chain`` (see
+    # :func:`_linear_chain`) and ``_twofold`` (the other-occurrence index of
+    # ensynth.linear2) are built on first use, never by the constructor.
+    __slots__ = ("states", "events", "initial", "edges", "_succ", "_chain", "_twofold",
+                 "_hash", "_index")
 
     def __init__(
         self,
@@ -85,6 +87,7 @@ class TransitionSystem:
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_succ", None)
         object.__setattr__(self, "_chain", None)
+        object.__setattr__(self, "_twofold", None)
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_index", None)
 
@@ -268,7 +271,8 @@ def _linear_chain(ts: TransitionSystem) -> tuple[tuple[str, ...], tuple[str, ...
     A TS is linear when one chain s0 -e1-> ... -et-> st from the initial
     state runs through every state.  This is the package's only walk of a
     chain; it reads the edge list, not ``successors``, and its result is
-    cached in the ``_chain`` slot (``()`` when the TS is not linear).
+    cached in the ``_chain`` slot (``()`` when the TS is not linear).  The
+    chain's states are ``ts.states`` itself when declared in chain order.
     """
     chain = ts._chain
     if chain is None:
@@ -277,15 +281,17 @@ def _linear_chain(ts: TransitionSystem) -> tuple[tuple[str, ...], tuple[str, ...
         # n - 1 edges walked from the initial state through n distinct
         # states are exactly one chain.
         if len(ts.edges) == n - 1:
-            step = {src: (ev, dst) for src, ev, dst in ts.edges}
+            step = {edge[0]: edge for edge in ts.edges}
             state = ts.initial
             states, word = [state], []
             while state in step and len(states) < n:
-                event, state = step[state]
+                _, event, state = step[state]
                 word.append(event)
                 states.append(state)
             if len(set(states)) == n:
-                chain = (tuple(states), tuple(word))
+                states = tuple(states)
+                # States declared in chain order are not stored twice.
+                chain = (ts.states if states == ts.states else states, tuple(word))
         object.__setattr__(ts, "_chain", chain)
     return chain or None
 

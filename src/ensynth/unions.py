@@ -296,8 +296,19 @@ def serialize_union(
     plan: JoinPlan | None = None,
     names: Sequence[str] | None = None,
 ) -> str:
-    """Canonical inline ``.union`` text."""
+    """Canonical inline ``.union`` text.
+
+    A plan is written as its ``terminal`` lines, so a plan that names no
+    terminal, which the text could not tell from no plan, is refused, and
+    so is one whose length does not match the components.
+    """
     from .ts import serialize_ts
+
+    if plan is not None:
+        if len(plan.terminals) != len(union.components):
+            raise ValueError("join plan does not match the number of components")
+        if all(t is None for t in plan.terminals):
+            raise ValueError("unserializable join plan: it names no terminal")
 
     if names is None:
         names = [f"C{i}" for i in range(len(union.components))]

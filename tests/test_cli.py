@@ -82,6 +82,15 @@ def test_separator_cli(files, capsys):
     assert "sig:" in out
 
 
+def test_separator_cli_out_of_range_exits_2(files, capsys):
+    """Indices outside the chain used to end in an IndexError traceback."""
+    for i, j in (("0", "5"), ("2", "2"), ("-1", "1")):
+        assert run(["separator", str(files / "abab.ts"), i, j]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: indices ({i}, {j}) out of range for chain length 4\n"
+
+
 def test_models_cli(files, capsys):
     assert run(["models", str(files / "phi6.cnf3")]) == 0
     out = capsys.readouterr().out

@@ -1,5 +1,7 @@
 import random
 import tracemalloc
+from collections.abc import Mapping
+from itertools import accumulate
 from unittest import mock
 
 import pytest
@@ -13,7 +15,7 @@ from ensynth.linear2 import (
     separator,
 )
 from ensynth.regions import aggregate_signature, check_region, enumerate_regions
-from ensynth.ts import TransitionSystem
+from ensynth.ts import TransitionSystem, _linear_chain
 
 from conftest import brute_ssp
 from corpus import linear2_words, reversed_declaration
@@ -226,3 +228,158 @@ def test_chain_order_not_declaration_order():
                     mirrored = type(region).from_members(backward, region.members)
                     assert (aggregate_signature(mirrored, backward, i, j)
                             == aggregate_signature(region, forward, i, j))
+
+
+def test_separator_refuses_a_foreign_index():
+    """Another chain's index used to give found=True with region=None."""
+    ts = chain(["a", "b", "a", "c"])
+    longer = second_occurrence_index(chain(["x", "y", "z", "x", "w", "y", "q"]))
+    same_length = second_occurrence_index(chain(["a", "b", "c", "b"]))
+    for index in (longer, same_length):
+        with pytest.raises(ValueError, match="not the other-occurrence index"):
+            separator(ts, 0, 2, index)
+    assert separator(ts, 0, 2, second_occurrence_index(ts)) == separator(ts, 0, 2)
+
+
+def test_second_occurrence_index_is_a_fresh_list():
+    ts = chain(["a", "b", "a", "c"])
+    second_occurrence_index(ts)[0] = 3
+    assert second_occurrence_index(ts) == [2, -1, 0, -1]
+    assert separator(ts, 0, 2).exit_events == frozenset(["b"])
+
+
+def test_separators_mapping_contract():
+    ts = chain(["a", "u", "b", "a", "v", "b"])
+    separators = linear2_ssp(ts).separators
+    pairs = [(f"s{i}", f"s{j}") for i in range(7) for j in range(i + 1, 7)]
+    assert isinstance(separators, Mapping)
+    assert len(separators) == 21 and list(separators) == pairs
+    assert all(pair in separators for pair in pairs)
+    for key in (("s3", "s1"), ("s2", "s2"), ("s0", "zz"), ("zz", "s0"), "s0", ("s0", "s1", "s2")):
+        assert key not in separators
+        with pytest.raises(KeyError):
+            separators[key]
+    assert separators[("s0", "s2")] is separators[("s1", "s6")]  # the first u exits alone
+    with pytest.raises(TypeError):
+        separators[("s0", "s1")] = None
+
+    failing = linear2_ssp(chain(["a", "b", "a", "b"])).separators
+    assert isinstance(failing, Mapping) and len(failing) == 0 and list(failing) == []
+    with pytest.raises(TypeError):
+        failing[("s0", "s1")] = None
+
+
+def test_linear2_ssp_memory_follows_the_witnesses():
+    """Criterion 7's 500-state chain: the eager map of 125,250 pairs
+    peaked at about 12 MB."""
+    word = []
+    for t in range(125):
+        word.extend([f"u{2 * t}", f"a{t}", f"u{2 * t + 1}", f"a{t}"])
+    ts = chain(word)
+    find_exact_2fold_subsequence(ts)  # builds the cached chain outside the trace
+    tracemalloc.start()
+    try:
+        verdict = linear2_ssp(ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.holds and len(verdict.separators) == 500 * 501 // 2
+    assert peak < 2_000_000
+
+
+# -- the eager route the lazy map replaced, kept as a reference ------------
+
+
+def reference_separator(ts, i, j):
+    """(exit, enter, mask) by the O(i) search: the partners are found by
+    scanning the chain left of s_i and right of s_j, and the mask by
+    walking the whole chain."""
+    states, word = _linear_chain(ts)
+    index = second_occurrence_index(ts)
+    n = len(word)
+    pos = {s: k for k, s in enumerate(ts.states)}
+
+    def result(exit_ev, enter_ev):
+        sig = {exit_ev: -1} if enter_ev is None else {exit_ev: -1, enter_ev: 1}
+        deltas = [sig.get(ev, 0) for ev in word]
+        mask = None
+        for start in (0, 1):
+            member = list(accumulate(deltas, initial=start))
+            if min(member) >= 0 and max(member) <= 1:
+                mask = sum(1 << pos[s] for s, m in zip(states, member) if m)
+                break
+        return frozenset([exit_ev]), frozenset([enter_ev] if enter_ev else []), mask
+
+    for k in range(i, j):
+        if index[k] == -1:
+            return result(word[k], None)
+    a = next((k for k in range(i) if i <= index[k] < j), -1)
+    if a != -1:
+        for k in range(a + 1, i):
+            if index[k] == -1 or index[k] < a or index[k] >= j:
+                return result(word[a], word[k])
+    b = next((k for k in range(n - 1, j - 1, -1) if i <= index[k] < j), -1)
+    if b != -1:
+        for k in range(j, b):
+            if index[k] == -1 or index[k] < i or index[k] > b:
+                return result(word[b], word[k])
+    return frozenset(), frozenset(), None
+
+
+def reference_linear2_ssp(ts):
+    """(holds, counterexample, [(pair, separator)] in order, witness masks
+    in order of first use), every pair searched eagerly."""
+    states, word = _linear_chain(ts)
+    bad = exact_2fold_scan(word)
+    if bad is not None:
+        return False, (states[bad[0]], states[bad[1]]), [], []
+    separators, masks = [], {}
+    for i in range(len(states)):
+        for j in range(i + 1, len(states)):
+            res = reference_separator(ts, i, j)
+            separators.append(((states[i], states[j]), res))
+            if res[2] is not None:
+                masks.setdefault(res[2])
+    return True, None, separators, list(masks)
+
+
+def as_triple(result):
+    mask = None if result.region is None else result.region.mask
+    return result.exit_events, result.enter_events, mask
+
+
+def with_unique_events(draws):
+    """Each None drawn becomes a unique event; a letter is kept while it
+    occurs less than twice.  About two thirds of these words have the SSP."""
+    word = []
+    for k, ev in enumerate(draws):
+        if ev is None:
+            word.append(f"u{k}")
+        elif word.count(ev) < 2:
+            word.append(ev)
+    return word
+
+
+mixed_words = st.lists(st.one_of(st.sampled_from("abcdef"), st.none()),
+                       min_size=1, max_size=18).map(with_unique_events)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(mixed_words, two_fold_words), st.booleans())
+def test_lazy_route_matches_the_eager_reference(word, backwards):
+    ts = chain(word)
+    if backwards:
+        ts = reversed_declaration(ts)
+    holds, counterexample, separators, masks = reference_linear2_ssp(ts)
+    verdict = linear2_ssp(ts)
+    assert verdict.holds == holds
+    if holds:
+        assert [(pair, as_triple(res)) for pair, res in verdict.separators.items()] == separators
+        assert [region.mask for region in verdict.witnesses.regions] == masks
+    else:
+        cx = verdict.counterexample
+        assert (cx.a, cx.b) == counterexample and len(verdict.separators) == 0
+    n = len(word)
+    for i in range(n + 1):
+        for j in range(i + 1, n + 1):
+            assert as_triple(separator(ts, i, j)) == reference_separator(ts, i, j)

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ensynth.properties import has_essp, has_ssp, inhibitable, separable
 from ensynth.reductions import (
@@ -43,6 +44,47 @@ def test_cnf3_round_trip():
     text = serialize_cnf3(phi6)
     assert parse_cnf3(text) == phi6
     assert serialize_cnf3(parse_cnf3(text)) == text
+
+
+clause_lists = st.lists(st.lists(st.integers(0, 30), min_size=3, max_size=3, unique=True),
+                        max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(clause_lists)
+def test_cnf3_round_trip_property(clauses):
+    formula = CubicMonotoneFormula(clauses, check=False)
+    text = serialize_cnf3(formula)
+    assert parse_cnf3(text, check=False) == formula
+    assert serialize_cnf3(parse_cnf3(text, check=False)) == text
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.permutations(range(6)), st.randoms(use_true_random=False))
+def test_cnf3_round_trip_property_on_cubic_formulas(names, rng):
+    """PHI6 with its variables renamed and its clauses and variables
+    shuffled: the text is checked on the way back."""
+    clauses = [[names[v] for v in clause] for clause in PHI6]
+    rng.shuffle(clauses)
+    for clause in clauses:
+        rng.shuffle(clause)
+    formula = CubicMonotoneFormula(clauses)
+    text = serialize_cnf3(formula)
+    assert parse_cnf3(text) == formula and serialize_cnf3(parse_cnf3(text)) == text
+
+
+@settings(max_examples=200, deadline=None)
+@given(clause_lists, st.randoms(use_true_random=False))
+def test_cnf3_text_round_trip_property(clauses, rng):
+    """Text with unsorted clauses, spacing, comments and blank lines reads
+    as the formula its canonical text reads as."""
+    lines = []
+    for clause in clauses:
+        lines.append("clause " + "  ".join(map(str, clause)) + rng.choice(["", "  # note"]))
+        lines.extend(rng.choice([[], [""], ["# comment"]]))
+    parsed = parse_cnf3("\n".join(lines), check=False)
+    assert parsed == CubicMonotoneFormula(clauses, check=False)
+    assert parse_cnf3(serialize_cnf3(parsed), check=False) == parsed
 
 
 def test_model_oracle():

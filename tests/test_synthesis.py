@@ -234,6 +234,21 @@ def test_clashing_but_unambiguous_names_are_read_the_one_way():
     assert fire(net, frozenset({"x"}), "x") == frozenset({"x", "q"})
 
 
+def test_net_refuses_dangling_flows_and_undeclared_initial_places():
+    """Such a net used to be read partly: serialize_ens dropped the flow
+    and the marking, and reachability_graph kept the marking."""
+    net = ElementaryNetSystem(
+        ("p",), ("t",), frozenset({("p", "zz"), ("t", "p")}), frozenset({"q"}))
+    for call in (serialize_ens, reachability_graph, lambda n: fire(n, frozenset(), "t"),
+                 lambda n: n.inputs("t")):
+        with pytest.raises(ValueError, match="flow p -> zz does not connect"):
+            call(net)
+    marked = ElementaryNetSystem(("p",), ("t",), frozenset({("t", "p")}), frozenset({"q"}))
+    for call in (serialize_ens, reachability_graph):
+        with pytest.raises(ValueError, match="initially marked place 'q' is not declared"):
+            call(marked)
+
+
 def test_net_index_is_not_part_of_equality_or_repr():
     ts = single_edge()
     net = synthesize(ts, enumerate_regions(ts))

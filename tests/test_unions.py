@@ -3,6 +3,7 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ensynth.properties import has_essp, has_ssp, is_feasible
 from ensynth.regions import Region, check_region, enumerate_regions
@@ -20,7 +21,7 @@ from ensynth.unions import (
     serialize_union,
 )
 
-from corpus import random_linear_ts, reversed_declaration
+from corpus import random_deterministic_ts, random_linear_ts, reversed_declaration
 
 
 def chain(word, prefix="s"):
@@ -209,6 +210,47 @@ def test_union_format_round_trip():
     assert parsed_plan == plan
     assert names == ["A", "B"]
     assert serialize_union(parsed, parsed_plan, names) == text
+
+
+def test_union_format_refuses_plans_it_cannot_write():
+    """A plan naming no terminal used to be written as no plan at all."""
+    union = make_union([chain(["x", "y"], "a"), chain(["x"], "b")])
+    with pytest.raises(ValueError, match="names no terminal"):
+        serialize_union(union, JoinPlan((None, None)))
+    with pytest.raises(ValueError, match="number of components"):
+        serialize_union(union, JoinPlan(("a2",)))
+    text = serialize_union(union, JoinPlan((None, "b1")))
+    assert parse_union(text)[1] == JoinPlan((None, "b1"))
+
+
+@st.composite
+def unions_with_plans(draw):
+    """One to three components in first-use state order (some declare
+    unused events), distinct names, and a plan naming some terminals."""
+    components = []
+    for c in range(draw(st.integers(1, 3))):
+        grown = random_deterministic_ts(
+            random.Random(draw(st.integers(0, 10**6))),
+            draw(st.integers(1, 6)), draw(st.integers(1, 4)))
+        unused = draw(st.lists(st.sampled_from(["e0", "e3", "u", "v"]), max_size=2))
+        components.append(TransitionSystem.from_edges(
+            f"c{c}.{grown.initial}",
+            [(f"c{c}.{a}", e, f"c{c}.{b}") for a, e, b in grown.edges], unused))
+    names = draw(st.lists(st.sampled_from(["A", "B", "C", "left", "x.1", "q:3"]),
+                          min_size=len(components), max_size=len(components), unique=True))
+    terminals = tuple(draw(st.one_of(st.none(), st.sampled_from(comp.states)))
+                      for comp in components)
+    plan = None if all(t is None for t in terminals) else JoinPlan(terminals)
+    return TsUnion(components), plan, names
+
+
+@settings(max_examples=200, deadline=None)
+@given(unions_with_plans())
+def test_union_format_round_trip_property(case):
+    union, plan, names = case
+    text = serialize_union(union, plan, names)
+    assert parse_union(text) == (union, plan, names)
+    assert serialize_union(*parse_union(text)) == text
 
 
 def test_union_format_file_reference(tmp_path):
