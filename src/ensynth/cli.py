@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import compress
 from pathlib import Path
 
 from . import linear2, reductions, synthesis
@@ -80,10 +79,9 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
 
 
 def _region_payload(region: Region) -> dict:
-    sig = region.signature
     return {
         "members": list(region.members),
-        "signature": dict(compress(sig.items(), sig.values())),  # non-zero entries
+        "signature": dict(region._cut_events()),  # the non-zero entries
     }
 
 
@@ -425,7 +423,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.timeout <= 0:
+    if not args.timeout > 0:  # also refuses nan
         parser.error("--timeout must be positive")
     try:
         return args.fn(args)

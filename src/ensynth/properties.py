@@ -18,12 +18,9 @@ from __future__ import annotations
 import time
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import compress
 from typing import Iterable, Iterator, Optional
 
-from .regions import (
-    Region, RegionConstraint, _bits, _cut_signs, _indexed, _smaller_side, solve_region,
-)
+from .regions import Region, RegionConstraint, _indexed, solve_region
 
 __all__ = [
     "SeparationQuery",
@@ -72,7 +69,8 @@ class TimeoutExceeded(Exception):
 def _answers(region: Region, query: SeparationQuery) -> bool:
     if query.kind == "ssp":
         return (query.a in region) != (query.b in region)
-    v = region.signature.get(query.a, 0)
+    event = _indexed(region.system).event_pos.get(query.a)
+    v = region._cut_signs().get(event, 0)
     if v == -1:
         return query.b not in region
     if v == 1:
@@ -199,10 +197,13 @@ class _Partition:
         for i, b in enumerate(self.block_of):
             self.blocks[b] |= 1 << i
 
-    def absorb(self, mask: int, bits: bytes):
-        """Split every block the region cuts; ``bits`` is ``_bits(mask)``."""
-        blocks, block_of = self.blocks, self.block_of
-        for b in set(map(block_of.__getitem__, _smaller_side(bits))):
+    def absorb(self, region: Region):
+        """Split every block the region cuts.  Each cut block holds a state
+        of the region's smaller side, and the smaller part of a split is
+        relabelled by walking its set bits, so the cost follows that side."""
+        blocks, block_of, mask = self.blocks, self.block_of, region.mask
+        side, _ = region._side()
+        for b in set(map(block_of.__getitem__, side)):
             block = blocks[b]
             inside = block & mask
             if inside == 0 or inside == block:
@@ -210,8 +211,11 @@ class _Partition:
             outside = block ^ inside
             part = inside if inside.bit_count() <= outside.bit_count() else outside
             blocks[b] = block ^ part
-            for i in compress(range(len(bits)), _bits(part, len(bits))):
-                block_of[i] = len(blocks)
+            new, rest = len(blocks), part
+            while rest:
+                low = rest & -rest
+                block_of[low.bit_length() - 1] = new
+                rest ^= low
             blocks.append(part)
 
 
@@ -223,11 +227,8 @@ def _run_ssp(sys, deadline: _Deadline, regions: list[Region]):
     blocks, block_of = partition.blocks, partition.block_of
     components, component_ids = list(blocks), list(block_of)
 
-    def absorb(region: Region):
-        partition.absorb(region.mask, _bits(region.mask, n))
-
     for region in regions:
-        absorb(region)
+        partition.absorb(region)
 
     deadline.total += sum(c.bit_count() * (c.bit_count() - 1) // 2 for c in components)
     for i in range(n):
@@ -246,7 +247,7 @@ def _run_ssp(sys, deadline: _Deadline, regions: list[Region]):
             if witness is None:
                 return SeparationQuery.states(idx.states[i], idx.states[j])
             regions.append(witness)
-            absorb(witness)
+            partition.absorb(witness)
         deadline.checked += (components[component_ids[i]] & above).bit_count()
     return None
 
@@ -274,13 +275,12 @@ def _absorb_cut(pending: list[int], mask: int, signs: dict[int, int]):
 def _run_essp(sys, deadline: _Deadline, regions: list[Region], exhaustive: bool):
     """Cover all non-vacuous (event, state) queries; returns failing queries."""
     idx = _indexed(sys)
-    n = len(idx.states)
     # pending[k]: states at which event k is not enabled and not yet inhibited.
     pending = _essp_pending(idx)
     deadline.total += sum(m.bit_count() for m in pending)
 
     def absorb(region: Region):
-        _absorb_cut(pending, region.mask, _cut_signs(idx, _bits(region.mask, n)))
+        _absorb_cut(pending, region.mask, region._cut_signs())
 
     for region in regions:
         absorb(region)
@@ -340,7 +340,7 @@ def has_essp(
     for region in seed_regions:
         if region.system is not sys and region.system != sys:
             raise ValueError("seed region does not belong to the checked system")
-        region.signature  # fails unless the mask is a region of sys
+        region._cut_signs()  # raises ValueError unless the mask is a region of sys
         regions.append(region)
     failures = _run_essp(sys, deadline, regions, exhaustive)
     witnesses = WitnessMap(sys, ("essp",), regions)
@@ -373,21 +373,16 @@ def is_feasible(sys, timeout: float | None = None) -> Verdict:
     )
 
 
-def _witness_cuts(sys, regions) -> Iterator[tuple[int, bytes, dict[int, int]]]:
-    """(mask, membership bytes, cut signs) of each region of a witness set,
-    which must all be regions of ``sys``."""
-    idx = _indexed(sys)
-    n = len(idx.states)
+def _witness_regions(sys, regions) -> Iterator[Region]:
+    """The regions of a witness set, which must all be regions of ``sys``;
+    each leaves with its cut signs computed."""
     for region in regions:
         if not isinstance(region, Region):
             raise ValueError("witness sets contain Region values")
         if region.system is not sys and region.system != sys:
             raise ValueError("region does not belong to the checked system")
-        bits = _bits(region.mask, n)
-        signs = _cut_signs(idx, bits)
-        if signs is None:
-            raise ValueError("membership set is not a region of the system")
-        yield region.mask, bits, signs
+        region._cut_signs()  # raises ValueError unless the mask is a region
+        yield region
 
 
 def is_ssp_witness(sys, regions: Iterable[Region]) -> bool:
@@ -397,8 +392,8 @@ def is_ssp_witness(sys, regions: Iterable[Region]) -> bool:
     a witness iff every block ends up a single state.
     """
     partition = _Partition(sys, _indexed(sys))
-    for mask, bits, _ in _witness_cuts(sys, regions):
-        partition.absorb(mask, bits)
+    for region in _witness_regions(sys, regions):
+        partition.absorb(region)
     return all(b & (b - 1) == 0 for b in partition.blocks)
 
 
@@ -409,6 +404,6 @@ def is_essp_witness(sys, regions: Iterable[Region]) -> bool:
     :func:`has_essp`'s sweep; the set is a witness iff no query is left.
     """
     pending = _essp_pending(_indexed(sys))
-    for mask, _, signs in _witness_cuts(sys, regions):
-        _absorb_cut(pending, mask, signs)
+    for region in _witness_regions(sys, regions):
+        _absorb_cut(pending, region.mask, region._cut_signs())
     return not any(pending)

@@ -76,24 +76,16 @@ _REVISE = tuple(
     _revise(key & 0b11, (key >> 2) & 0b111, key >> 5) for key in range(128)
 )
 
-# bytes.translate tables: a state's membership as one byte 0/1, and the
-# decided-member states of a membership domain array as ASCII binary digits.
+# bytes.translate tables: binary digits as 0/1 bytes, and the decided-member
+# states of a membership domain array as ASCII binary digits.
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
-_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 _MEMBER_DIGITS = bytes(0x31 if d == 0b10 else 0x30 for d in range(256))
 
 
-def _bits(mask: int, n: int) -> bytes:
-    """Membership of the ``n`` states as 0/1 bytes, in declaration order."""
-    return bin(mask)[:1:-1].ljust(n, "0").encode().translate(_BIT_BYTES)[:n]
-
-
-def _smaller_side(bits: bytes):
-    """Positions on the smaller side of a membership byte-vector: a region
-    and its complement cut the same edges, and each cut meets both sides."""
-    if 2 * bits.count(1) > len(bits):
-        bits = bits.translate(_FLIP)
-    return compress(range(len(bits)), bits)
+def _positions(mask: int) -> tuple[int, ...]:
+    """Positions of the set bits of ``mask``, ascending: one O(|S|) read."""
+    digits = bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
+    return tuple(compress(range(len(digits)), digits))
 
 
 class _Index:
@@ -140,33 +132,67 @@ def _indexed(sys) -> _Index:
 
 
 class Region:
-    """A valid region: a system, a membership bit-vector, a derived signature."""
+    """A valid region: a system, a membership bit-vector, a derived signature.
 
-    __slots__ = ("system", "mask", "_signature")
+    A region the solver found also holds its sorted member positions; one
+    built from a bare mask reads them from the mask when first asked.  The
+    signs of the events the region cuts are computed once, from its smaller
+    side, so a small region costs its own size, not the system's.
+    """
 
-    def __init__(self, system, mask: int, _signature=None):
+    __slots__ = ("system", "mask", "_members", "_cut", "_signature")
+
+    def __init__(self, system, mask: int, _members: Optional[tuple[int, ...]] = None):
         self.system = system
         self.mask = mask
-        self._signature = _signature
+        self._members = _members
+        self._cut: Optional[dict[int, int]] = None
+        self._signature: Optional[dict[str, int]] = None
 
     @classmethod
     def from_members(cls, system, members: Iterable[str]) -> "Region":
         """Build and validate a region from a set of state names."""
-        idx = _indexed(system)
-        mask = 0
-        for s in members:
-            mask |= 1 << idx.state_pos[s]
-        sig = _signature_of_mask(idx, mask)
-        if sig is None:
-            raise ValueError("membership set is not a region of the system")
-        region = cls(system, mask)
-        region._signature = sig
+        region = _named_region(system, members)
+        region._cut_signs()
         return region
+
+    def _member_positions(self) -> tuple[int, ...]:
+        if self._members is None:
+            self._members = _positions(self.mask)
+        return self._members
+
+    def _side(self) -> tuple[tuple[int, ...], int]:
+        """The positions of the smaller side and its sign: the members (1),
+        or the non-members (-1) when the region holds more than half the
+        states.  A region and its complement cut the same edges, and each
+        cut edge has an end on either side."""
+        n = len(_indexed(self.system).states)
+        members = self._members
+        if 2 * (self.mask.bit_count() if members is None else len(members)) <= n:
+            return self._member_positions(), 1
+        return _positions(self.mask ^ ((1 << n) - 1)), -1
+
+    def _cut_signs(self) -> dict[int, int]:
+        """Signature of each event the region cuts, by event id; every other
+        event has signature 0.  Raises ``ValueError`` if the membership set
+        is not a region."""
+        cut = self._cut
+        if cut is None:
+            cut = _cut_signs(_indexed(self.system), *self._side())
+            if cut is None:
+                raise ValueError("membership set is not a region of the system")
+            self._cut = cut
+        return cut
+
+    def _cut_events(self) -> list[tuple[str, int]]:
+        """(event, sign) of the events the region cuts, in declaration order."""
+        events = _indexed(self.system).events
+        return [(events[e], d) for e, d in sorted(self._cut_signs().items())]
 
     @property
     def members(self) -> tuple[str, ...]:
-        idx = _indexed(self.system)
-        return tuple(compress(idx.states, _bits(self.mask, len(idx.states))))
+        states = _indexed(self.system).states
+        return tuple(map(states.__getitem__, self._member_positions()))
 
     def __contains__(self, state: str) -> bool:
         idx = _indexed(self.system)
@@ -178,9 +204,8 @@ class Region:
     @property
     def signature(self) -> dict[str, int]:
         if self._signature is None:
-            idx = _indexed(self.system)
-            sig = _signature_of_mask(idx, self.mask)
-            assert sig is not None, "Region invariant violated"
+            sig = dict.fromkeys(_indexed(self.system).events, 0)
+            sig.update(self._cut_events())
             self._signature = sig
         return self._signature
 
@@ -201,10 +226,9 @@ class Region:
 
     def complement(self) -> "Region":
         idx = _indexed(self.system)
-        full = (1 << len(idx.states)) - 1
-        other = Region(self.system, full & ~self.mask)
-        if self._signature is not None:
-            other._signature = {e: -v for e, v in self._signature.items()}
+        other = Region(self.system, ((1 << len(idx.states)) - 1) ^ self.mask)
+        if self._cut is not None:
+            other._cut = {e: -d for e, d in self._cut.items()}
         return other
 
     def restrict(self, system) -> "Region":
@@ -225,35 +249,34 @@ class Region:
         return f"Region({{{', '.join(self.members)}}})"
 
 
-def _cut_signs(idx: _Index, bits: bytes) -> Optional[dict[int, int]]:
-    """Signature of each event with an edge the membership cuts, by event id,
-    or ``None`` if the edges of such an event disagree (not a region).
+def _named_region(sys, names: Iterable[str]) -> Region:
+    """The region of a set of state names, not yet validated."""
+    state_pos = _indexed(sys).state_pos
+    members = tuple(sorted({state_pos[s] for s in names}))
+    return Region(sys, sum(map((1).__lshift__, members)), members)
 
-    Every other event has signature 0, and every cut edge has an end on
-    the smaller side, so the cost follows the region's boundary.
+
+def _cut_signs(idx: _Index, side: tuple[int, ...], sign: int) -> Optional[dict[int, int]]:
+    """Signature of each event with an edge across the cut, by event id, or
+    ``None`` if the edges of such an event disagree (not a region).
+
+    ``side`` holds the positions of one side of the cut and ``sign`` is 1
+    when they are the members, -1 when they are the non-members.  Every
+    cut edge has an end on ``side``, so the cost follows that side's edges.
     """
     esrc, edst, eev = idx.esrc, idx.edst, idx.eev
+    on = set(side)
     signs: dict[int, int] = {}
-    for s in _smaller_side(bits):
+    for s in side:
         for eid in idx.state_edges[s]:
-            d = bits[edst[eid]] - bits[esrc[eid]]
+            d = (edst[eid] in on) - (esrc[eid] in on)
             if d:
-                signs[eev[eid]] = d
+                signs[eev[eid]] = d * sign
     for e, d in signs.items():
         for eid in idx.event_edges[e]:
-            if bits[edst[eid]] - bits[esrc[eid]] != d:
+            if ((edst[eid] in on) - (esrc[eid] in on)) * sign != d:
                 return None
     return signs
-
-
-def _signature_of_mask(idx: _Index, mask: int) -> Optional[dict[str, int]]:
-    signs = _cut_signs(idx, _bits(mask, len(idx.states)))
-    if signs is None:
-        return None
-    sig = dict.fromkeys(idx.events, 0)
-    for e, d in signs.items():
-        sig[idx.events[e]] = d
-    return sig
 
 
 def check_region(sys, members: Iterable[str]) -> Optional[dict[str, int]]:
@@ -261,11 +284,11 @@ def check_region(sys, members: Iterable[str]) -> Optional[dict[str, int]]:
 
     Events without any edge get signature 0.
     """
-    idx = _indexed(sys)
-    mask = 0
-    for s in members:
-        mask |= 1 << idx.state_pos[s]
-    return _signature_of_mask(idx, mask)
+    region = _named_region(sys, members)
+    try:
+        return region.signature
+    except ValueError:
+        return None
 
 
 def complement(region: Region) -> Region:
@@ -329,6 +352,7 @@ class _Solver:
         for name in constraint.signature:
             if name not in idx.event_pos:
                 raise KeyError(f"unknown event {name!r} in constraint")
+        self.sys = sys
         self.idx = idx
         self.deadline = deadline
         self.mem = bytearray(b"\x03") * len(idx.states)
@@ -481,12 +505,20 @@ class _Solver:
                 return ("state", s)
         return None
 
-    def _solution_mask(self) -> int:
-        """Decided members; undecided states read as non-members."""
-        return int(self.mem.translate(_MEMBER_DIGITS)[::-1], 2)
+    def _solution(self) -> Region:
+        """The decided members, read from the trail, where a state appears
+        at most once on a path; undecided states read as non-members."""
+        mem = self.mem
+        members = sorted([s for array, s, _ in self.trail if array is mem and mem[s] == 0b10])
+        # Shifting a bit in costs about as much as reading 32 domain bytes.
+        if 32 * len(members) < len(mem):
+            mask = sum(map((1).__lshift__, members))
+        else:
+            mask = int(mem.translate(_MEMBER_DIGITS)[::-1], 2)
+        return Region(self.sys, mask, tuple(members))
 
     def solutions(self, limit=None, first_only=False):
-        """DFS over branch choices; yields membership masks deterministically.
+        """DFS over branch choices; yields regions deterministically.
 
         With ``first_only`` the search stops once no touched event is left
         to branch on: everything outside the cone of influence is free, and
@@ -504,12 +536,12 @@ class _Solver:
             if e is not None:
                 pick = ("event", e)
             elif first_only:
-                yield self._solution_mask()
+                yield self._solution()
                 return
             else:
                 pick = self._pick_free()
             if pick is None:
-                yield self._solution_mask()
+                yield self._solution()
                 count += 1
                 if limit is not None and count >= limit:
                     return
@@ -557,8 +589,8 @@ def solve_region(
     before every branch; whatever it raises aborts the solve.
     """
     solver = _Solver(sys, _as_constraint(constraint), deadline)
-    for mask in solver.solutions(first_only=True):
-        return Region(sys, mask)
+    for region in solver.solutions(first_only=True):
+        return region
     return None
 
 
@@ -567,7 +599,7 @@ def solve_all_regions(
 ) -> list[Region]:
     """All regions satisfying the constraint, deterministically ordered."""
     solver = _Solver(sys, _as_constraint(constraint))
-    return [Region(sys, mask) for mask in solver.solutions(limit=limit)]
+    return list(solver.solutions(limit=limit))
 
 
 def enumerate_regions(sys, cap: int = 22) -> list[Region]:
@@ -621,12 +653,6 @@ def aggregate_signature(region: Region, ts, i: int, j: int) -> int:
 def format_region(region: Region) -> str:
     """Witness format: membership line plus the non-obeying signature entries."""
     members = ", ".join(region.members)
-    parts = []
-    for ev in region.system.events:
-        v = region.signature[ev]
-        if v == -1:
-            parts.append(f"{ev}=-1")
-        elif v == 1:
-            parts.append(f"{ev}=+1")
+    parts = [f"{e}={'+1' if d == 1 else '-1'}" for e, d in region._cut_events()]
     sig_line = "sig: " + ", ".join(parts) if parts else "sig:"
     return f"region: {{{members}}}\n{sig_line}"

@@ -13,10 +13,9 @@ report instead of being rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress
 from typing import Optional, Sequence
 
-from .regions import Region, _bits
+from .regions import Region
 from .ts import (
     Edge,
     ParseError,
@@ -122,8 +121,7 @@ def synthesize(ts: TransitionSystem, regions: Sequence[Region]) -> ElementaryNet
     flows: set[tuple[str, str]] = set()
     marked: set[str] = set()
     for name, region in zip(places, regions):
-        sig = region.signature
-        for e, v in compress(sig.items(), sig.values()):  # the non-obeying events
+        for e, v in region._cut_events():  # the non-obeying events
             flows.add((name, e) if v == -1 else (e, name))
         if ts.initial in region:
             marked.add(name)
@@ -200,8 +198,8 @@ def check_morphism(ts: TransitionSystem, regions: Sequence[Region]) -> bool:
     rg = reachability_graph(net)
     places_of: list[list[str]] = [[] for _ in ts.states]
     for place, region in zip(net.places, regions):
-        for held in compress(places_of, _bits(region.mask, len(ts.states))):
-            held.append(place)
+        for p in region._member_positions():
+            places_of[p].append(place)
     marking_of_state = dict(zip(ts.states, map(frozenset, places_of)))
     reachable = set(rg.markings.values())
     if set(marking_of_state.values()) != reachable:

@@ -277,6 +277,8 @@ def parse_union(text: str, loader=None) -> tuple[TsUnion, "JoinPlan | None", lis
         elif fields[0] == "terminal":
             if len(fields) != 3:
                 raise ParseError("terminal takes component and state", number)
+            if fields[1] in terminals:
+                raise ParseError(f"duplicate terminal for component {fields[1]!r}", number)
             terminals[fields[1]] = fields[2]
         else:
             raise ParseError(f"unknown directive {fields[0]!r}", number)

@@ -15,7 +15,7 @@ from ensynth.synthesis import ElementaryNetSystem, synthesize
 from ensynth.ts import TransitionSystem, serialize_ts
 from ensynth.unions import join, serialize_union
 
-from corpus import PHI1, master
+from corpus import PHI1, PHI6, master
 
 MASTER_TS = serialize_ts(master())
 ABAB_TS = serialize_ts(TransitionSystem.chain(["a", "b", "a", "b"]))
@@ -175,6 +175,24 @@ def test_timeout_exit_code(files, capsys):
     assert "timeout" in capsys.readouterr().err
 
 
+
+@pytest.mark.parametrize("value", ["nan", "0", "-1"])
+def test_timeout_must_be_positive(files, capsys, value):
+    """``nan`` passed the old ``<= 0`` test and ran without a time bound."""
+    with pytest.raises(SystemExit) as exc:
+        run(["--timeout", value, "check-feasible", str(files / "master.ts")])
+    assert exc.value.code == 2
+    assert "--timeout must be positive" in capsys.readouterr().err
+
+
+def test_duplicate_union_terminal_exits_2(files, capsys):
+    (files / "twice.union").write_text(
+        ".union\ncomponent A\ninitial a\nedge a x b\nend\nterminal A b\nterminal A a\n")
+    assert run(["check-feasible", str(files / "twice.union")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 7: duplicate terminal for component 'A'\n"
+
 def test_check_on_union_file(files, capsys):
     out = files / "redun"
     run(["reduce", "--construction", "linear3-essp",
@@ -265,6 +283,29 @@ def test_check_feasible_output_is_pinned(files, capsys):
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest, (name, flags)
 
+
+
+# SHA-256 of check-feasible on the joined linear3-essp instance of PHI6
+# (1023 states, 901 witnesses), recorded before witnesses carried their
+# member positions.
+PHI6_GOLDEN = {
+    ("--format", "json"):
+        "82a9910fec0a022f00a37fd8be209f79b2427104bf8dd798b80bb077e40dbe7b",
+    ("--verbose-witnesses",):
+        "830d9476598d2a50564b166721d8093fb8a0e2524395e5a380df543719a3fe5e",
+}
+
+
+def test_check_feasible_output_is_pinned_on_phi6(files, capsys):
+    instance = build_linear3_essp(CubicMonotoneFormula(PHI6))
+    joined = join(instance.union, instance.join_plan)
+    assert len(joined.states) == 1023
+    (files / "phi6.ts").write_text(serialize_ts(joined))
+    for flags, digest in PHI6_GOLDEN.items():
+        assert run([*flags, "check-feasible", str(files / "phi6.ts")]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, flags
+    assert out.startswith("feasibility: holds\nwitnesses: 901 regions\n")
 
 # SHA-256 of the synthesis commands' stdout on the PHI1 instance, recorded
 # before nets got their pre/post index.

@@ -1,8 +1,12 @@
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import ensynth
 from ensynth.properties import (
     SeparationQuery,
     TimeoutExceeded,
@@ -205,3 +209,38 @@ def test_unused_event_cannot_be_inhibited():
     verdict = has_essp(ts, timeout=10)
     assert not verdict.holds and not brute_essp(ts)
     assert verdict.counterexample == SeparationQuery.event_state("ghost", "s0")
+
+
+NOT_A_REGION_SEED = """
+from ensynth.properties import has_essp
+from ensynth.regions import Region
+from ensynth.ts import TransitionSystem
+
+ts = TransitionSystem.chain(["a", "b", "a"])
+for call in (lambda: has_essp(ts, seed_regions=[Region(ts, 0b0010)]),
+             lambda: Region(ts, 0b0010).signature):
+    try:
+        call()
+    except ValueError as exc:
+        print("ValueError:", exc)
+"""
+
+
+def test_has_essp_refuses_a_seed_that_is_not_a_region():
+    """a enters {s1} on its first edge and obeys it on its second."""
+    ts = TransitionSystem.chain(["a", "b", "a"])
+    with pytest.raises(ValueError, match="membership set is not a region"):
+        has_essp(ts, seed_regions=[Region(ts, 0b0010)])
+    with pytest.raises(ValueError, match="membership set is not a region"):
+        Region(ts, 0b0010).signature
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_non_region_seed_is_refused_with_and_without_asserts(flags):
+    src = str(Path(ensynth.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, *flags, "-c", NOT_A_REGION_SEED],
+        capture_output=True, text=True, timeout=60, cwd=src,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "ValueError: membership set is not a region of the system\n" * 2

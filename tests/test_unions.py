@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from ensynth.properties import has_essp, has_ssp, is_feasible
 from ensynth.regions import Region, check_region, enumerate_regions
-from ensynth.ts import TransitionSystem, classify, validate
+from ensynth.ts import ParseError, TransitionSystem, classify, validate
 from ensynth.unions import (
     JoinPlan,
     TsUnion,
@@ -222,6 +222,14 @@ def test_union_format_refuses_plans_it_cannot_write():
     text = serialize_union(union, JoinPlan((None, "b1")))
     assert parse_union(text)[1] == JoinPlan((None, "b1"))
 
+
+
+def test_union_format_refuses_a_second_terminal_for_a_component():
+    """The second line used to replace the first one silently."""
+    text = (".union\ncomponent A\ninitial a\nedge a x b\nend\n"
+            "terminal A b\nterminal A a\n")
+    with pytest.raises(ParseError, match=r"line 7: duplicate terminal for component 'A'"):
+        parse_union(text)
 
 @st.composite
 def unions_with_plans(draw):
