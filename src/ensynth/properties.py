@@ -20,7 +20,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .regions import Region, RegionConstraint, _indexed, solve_region
+from .regions import Region, RegionConstraint, _indexed, _same_system, solve_region
 
 __all__ = [
     "SeparationQuery",
@@ -337,8 +337,9 @@ def has_essp(
     """
     deadline = _Deadline(timeout)
     regions = []
+    same = _same_system(sys)
     for region in seed_regions:
-        if region.system is not sys and region.system != sys:
+        if not same(region.system):
             raise ValueError("seed region does not belong to the checked system")
         region._cut_signs()  # raises ValueError unless the mask is a region of sys
         regions.append(region)
@@ -376,10 +377,11 @@ def is_feasible(sys, timeout: float | None = None) -> Verdict:
 def _witness_regions(sys, regions) -> Iterator[Region]:
     """The regions of a witness set, which must all be regions of ``sys``;
     each leaves with its cut signs computed."""
+    same = _same_system(sys)
     for region in regions:
         if not isinstance(region, Region):
             raise ValueError("witness sets contain Region values")
-        if region.system is not sys and region.system != sys:
+        if not same(region.system):
             raise ValueError("region does not belong to the checked system")
         region._cut_signs()  # raises ValueError unless the mask is a region
         yield region

@@ -26,7 +26,10 @@ The system (a :class:`~ensynth.ts.TransitionSystem` or a
 owns its integer index, built on first use and kept in its ``_index``
 slot.  Full domains are arc-consistent, so the propagation queue is seeded
 from the constraint only, and the search undoes a branch through a trail
-of changed values instead of copying the domains at every frame.
+of changed values instead of copying the domains at every frame.  The
+queue takes an edge only when its revision can narrow a domain: at most
+once, never by its own revision, and not while it is open (both ends
+undecided) and its event may still obey (sig = 0).
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from __future__ import annotations
 from collections import deque
 from heapq import heappop, heappush
 from itertools import compress
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 __all__ = [
     "Region",
@@ -71,10 +74,27 @@ def _revise(ms: int, mg: int, mt: int):
     return (ns, ng, nt) if ns else None
 
 
+def _revision(key: int):
+    """The edge rule's result for the domain triple ``key``: ``None`` on a
+    wipe-out, else (new sig(e), the ends it narrows as (at t, new domain))."""
+    ms, mg, mt = key & 0b11, (key >> 2) & 0b111, key >> 5
+    revised = _revise(ms, mg, mt)
+    if revised is None:
+        return None
+    ns, ng, nt = revised
+    ends = tuple((at_t, n) for at_t, n, m in ((False, ns, ms), (True, nt, mt)) if n != m)
+    return ng, ends
+
+
 # The edge rule for every domain triple, keyed by ms | mg << 2 | mt << 5.
-_REVISE = tuple(
-    _revise(key & 0b11, (key >> 2) & 0b111, key >> 5) for key in range(128)
+_REVISE = tuple(map(_revision, range(128)))
+
+# Branch values, tried in this order: an event's remaining values by its
+# domain (obey first), and a state's.
+_EVENT_VALUES = tuple(
+    tuple(b for b in (0b010, 0b001, 0b100) if d & b) for d in range(8)
 )
+_STATE_VALUES = (0b01, 0b10)
 
 # bytes.translate tables: binary digits as 0/1 bytes, and the decided-member
 # states of a membership domain array as ASCII binary digits.
@@ -93,18 +113,20 @@ class _Index:
 
     ``repeated`` flags the events that occur more than once and ``active``
     their edges: a single-occurrence event absorbs any membership
-    difference, so its edge constrains nothing.
+    difference, so its edge constrains nothing.  ``positions`` holds each
+    state position as one shared int for the member tuples of solutions.
     """
 
     __slots__ = (
         "states", "events", "state_pos", "event_pos", "esrc", "eev", "edst",
-        "event_edges", "state_edges", "active", "repeated",
+        "event_edges", "state_edges", "active", "repeated", "positions",
     )
 
     def __init__(self, sys):
         self.states = tuple(sys.states)
         self.events = tuple(sys.events)
         self.state_pos = {s: i for i, s in enumerate(self.states)}
+        self.positions = tuple(range(len(self.states)))
         self.event_pos = {e: i for i, e in enumerate(self.events)}
         esrc, eev, edst = [], [], []
         self.event_edges = [[] for _ in self.events]
@@ -129,6 +151,24 @@ def _indexed(sys) -> _Index:
         idx = _Index(sys)
         object.__setattr__(sys, "_index", idx)
     return idx
+
+
+def _same_system(sys) -> Callable[[object], bool]:
+    """A test of whether a region's system is ``sys`` that compares each
+    distinct system object once.  Comparing an equal system that is another
+    object costs O(|S| + |E|), and the regions of a witness set share a
+    few system objects between them."""
+    known = {id(sys): sys}  # holding each object keeps its id from reuse
+
+    def same(system) -> bool:
+        if id(system) in known:
+            return True
+        if system != sys:
+            return False
+        known[id(system)] = system
+        return True
+
+    return same
 
 
 class Region:
@@ -358,6 +398,9 @@ class _Solver:
         self.mem = bytearray(b"\x03") * len(idx.states)
         self.sig = bytearray(b"\x07") * len(idx.events)
         self.queue: deque[int] = deque()
+        # One flag per edge, set while the edge is queued or revised; the
+        # extra last flag belongs to the assignment that starts a drain.
+        self.queued = bytearray(len(idx.esrc) + 1)
         self.trail: list[tuple] = []
 
         # Events eligible for branching: repeated events and pinned ones.
@@ -381,86 +424,117 @@ class _Solver:
         self.failed = False
         try:
             for st, val in constraint.membership.items():
-                self._set_mem(idx.state_pos[st], 0b01 if val == 0 else 0b10)
+                self._propagate("state", idx.state_pos[st], 0b01 if val == 0 else 0b10)
             for ev, val in constraint.signature.items():
                 e = idx.event_pos[ev]
                 if val and not idx.event_edges[e]:
                     raise _Unsatisfiable  # an edgeless event has signature 0
-                self._set_sig(e, _SIG_BIT[val])
-            self._drain()
+                self._propagate("event", e, _SIG_BIT[val])
         except _Unsatisfiable:
             self.failed = True
 
     # -- propagation ----------------------------------------------------
 
-    def _touch(self, e: int):
-        if self.touched[e]:
-            return
-        self.touched[e] = 1
-        self.trail.append((self.touched, e, 0))
-        if self.branchable[e]:
-            d = self.sig[e]
-            if d & (d - 1):
-                heappush(self.touch_heap, e)
+    def _propagate(self, kind: str, var: int, bits: int):
+        """Restrict one state's or event's domain to ``bits`` and close the
+        edge equations R(t) = R(s) + sig(e) under arc consistency.
 
-    def _set_mem(self, s: int, bits: int):
-        mem = self.mem
-        old = mem[s]
-        new = old & bits
-        if new == old:
-            return
-        if new == 0:
-            raise _Unsatisfiable
-        self.trail.append((mem, s, old))
-        mem[s] = new
-        active, eev, queue = self.active, self.idx.eev, self.queue
-        for eid in self.idx.state_edges[s]:
-            if active[eid]:
-                queue.append(eid)
-                self._touch(eev[eid])
+        The one propagation kernel, for the constraint and for every branch.
+        The assignment enters the loop as if a revision of a sentinel edge
+        had made it, so every change, the assignment's and each revision's,
+        goes through the same queue rule.  Every edge outside the queue is
+        consistent with the current domains, and a change queues only the
+        edges whose revision it can narrow:
 
-    def _set_sig(self, e: int, bits: int):
-        sig = self.sig
-        old = sig[e]
-        new = old & bits
-        if new == old:
-            return
-        if new == 0:
-            raise _Unsatisfiable
-        self.trail.append((sig, e, old))
-        sig[e] = new
-        self._touch(e)
-        # Only events with active edges get here, and all their edges are.
-        self.queue.extend(self.idx.event_edges[e])
+        * an edge is queued at most once (its ``queued`` flag);
+        * a revision never queues its own edge, which stays flagged while
+          it is revised: the edge rule is idempotent;
+        * an event domain that still holds 0 skips its open edges, whose
+          ends are both undecided: their revision is a no-op, and a change
+          at either end queues them.
 
-    def _drain(self):
-        """Arc-consistency over the edge equations R(t) = R(s) + sig(e)."""
+        A changed domain is trailed and touches its event, or the events of
+        the active edges at its state.  The queue and every flag are clear
+        on return and on ``_Unsatisfiable``.
+        """
         idx = self.idx
         esrc, eev, edst = idx.esrc, idx.eev, idx.edst
-        queue = self.queue
-        mem, sig = self.mem, self.sig
-        while queue:
-            eid = queue.popleft()
-            s, e, t = esrc[eid], eev[eid], edst[eid]
-            ms, mg, mt = mem[s], sig[e], mem[t]
-            revised = _REVISE[ms | mg << 2 | mt << 5]
-            if revised is None:
-                raise _Unsatisfiable
-            ns, ng, nt = revised
-            if ns != ms:
-                self._set_mem(s, ns)
-            if ng != mg:
-                self._set_sig(e, ng)
-            if nt != mt:
-                self._set_mem(t, nt)
-
-    def _assign(self, kind: str, var: int, bits: int):
-        self.queue.clear()
+        state_edges, event_edges = idx.state_edges, idx.event_edges
+        mem, sig, touched, active = self.mem, self.sig, self.touched, self.active
+        branchable, heap = self.branchable, self.touch_heap
+        queue, queued = self.queue, self.queued
+        pop, push, log = queue.popleft, queue.append, self.trail.append
+        eid = len(queued) - 1
         if kind == "event":
-            self._set_sig(var, bits)
+            e, mg = var, sig[var]
+            ng = mg & bits
+            if not ng:
+                raise _Unsatisfiable
+            ends = ()
         else:
-            self._set_mem(var, bits)
-        self._drain()
+            s = t = var
+            mg = ng = 0
+            ends = ((False, bits),)
+        try:
+            while True:
+                if ng != mg:
+                    log((sig, e, mg))
+                    sig[e] = ng
+                    if not touched[e]:
+                        touched[e] = 1
+                        log((touched, e, 0))
+                        if branchable[e] and ng & (ng - 1):
+                            heappush(heap, e)
+                    # Only events with active edges get here, and all their
+                    # edges are.
+                    if ng & 0b010:  # skip the open edges
+                        for x in event_edges[e]:
+                            if not queued[x] and mem[esrc[x]] & mem[edst[x]] != _MEM_ALL:
+                                queued[x] = 1
+                                push(x)
+                    else:
+                        for x in event_edges[e]:
+                            if not queued[x]:
+                                queued[x] = 1
+                                push(x)
+                for at_t, n in ends:
+                    x = t if at_t else s
+                    old = mem[x]
+                    n &= old  # on a self-loop the other end may be narrowed already
+                    if n == old:
+                        continue
+                    if not n:
+                        raise _Unsatisfiable
+                    log((mem, x, old))
+                    mem[x] = n
+                    for y in state_edges[x]:
+                        if active[y]:
+                            ev = eev[y]
+                            if not touched[ev]:
+                                touched[ev] = 1
+                                log((touched, ev, 0))
+                                d = sig[ev]
+                                if branchable[ev] and d & (d - 1):
+                                    heappush(heap, ev)
+                            if not queued[y]:
+                                queued[y] = 1
+                                push(y)
+                queued[eid] = 0
+                if not queue:
+                    return
+                eid = pop()
+                s, e, t = esrc[eid], eev[eid], edst[eid]
+                mg = sig[e]
+                revised = _REVISE[mem[s] | mg << 2 | mem[t] << 5]
+                if revised is None:
+                    raise _Unsatisfiable
+                ng, ends = revised
+        except _Unsatisfiable:
+            queued[eid] = 0
+            for x in queue:
+                queued[x] = 0
+            queue.clear()
+            raise
 
     def _undo(self, mark: int):
         trail, heap = self.trail, self.touch_heap
@@ -506,10 +580,17 @@ class _Solver:
         return None
 
     def _solution(self) -> Region:
-        """The decided members, read from the trail, where a state appears
-        at most once on a path; undecided states read as non-members."""
-        mem = self.mem
-        members = sorted([s for array, s, _ in self.trail if array is mem and mem[s] == 0b10])
+        """The decided members; undecided states read as non-members.
+
+        A state appears on the trail at most once on a path, so a short
+        trail is read for them; a long one costs more than the domain
+        array, which is read instead."""
+        mem, trail = self.mem, self.trail
+        if 5 * len(trail) > len(mem):
+            digits = mem.translate(_MEMBER_DIGITS)
+            members = tuple(compress(self.idx.positions, digits.translate(_BIT_BYTES)))
+            return Region(self.sys, int(digits[::-1], 2), members)
+        members = sorted([s for array, s, _ in trail if array is mem and mem[s] == 0b10])
         # Shifting a bit in costs about as much as reading 32 domain bytes.
         if 32 * len(members) < len(mem):
             mask = sum(map((1).__lshift__, members))
@@ -528,43 +609,41 @@ class _Solver:
         if self.failed:
             return
         count = 0
-        deadline = self.deadline
+        deadline, trail, sig = self.deadline, self.trail, self.sig
         # Frame: [trail mark, kind, var, values, next value index]
         stack: list[list] = []
         while True:
             e = self._pick_touched()
             if e is not None:
-                pick = ("event", e)
+                stack.append([len(trail), "event", e, _EVENT_VALUES[sig[e]], 0])
             elif first_only:
                 yield self._solution()
                 return
             else:
                 pick = self._pick_free()
-            if pick is None:
-                yield self._solution()
-                count += 1
-                if limit is not None and count >= limit:
-                    return
-            else:
-                kind, var = pick
-                if kind == "event":
-                    values = [b for b in (0b010, 0b001, 0b100) if self.sig[var] & b]
+                if pick is None:
+                    yield self._solution()
+                    count += 1
+                    if limit is not None and count >= limit:
+                        return
                 else:
-                    values = [0b01, 0b10]
-                stack.append([len(self.trail), kind, var, values, 0])
+                    kind, var = pick
+                    values = _EVENT_VALUES[sig[var]] if kind == "event" else _STATE_VALUES
+                    stack.append([len(trail), kind, var, values, 0])
             # Take the next untried value of the deepest frame.
             while stack:
                 frame = stack[-1]
-                i = frame[4]
-                if i == len(frame[3]):
+                mark, kind, var, values, i = frame
+                if i == len(values):
                     stack.pop()
                     continue
                 frame[4] = i + 1
                 if deadline is not None:
                     deadline.check()
-                self._undo(frame[0])
+                if len(trail) > mark:
+                    self._undo(mark)
                 try:
-                    self._assign(frame[1], frame[2], frame[3][i])
+                    self._propagate(kind, var, values[i])
                 except _Unsatisfiable:
                     continue
                 break

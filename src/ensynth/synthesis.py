@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .regions import Region
+from .regions import Region, _same_system
 from .ts import (
     Edge,
     ParseError,
@@ -112,10 +112,11 @@ def synthesize(ts: TransitionSystem, regions: Sequence[Region]) -> ElementaryNet
     e exits the region, (e, p) iff e enters it; p is initially marked iff
     the region contains the initial state.
     """
+    same = _same_system(ts)
     for region in regions:
         if not isinstance(region, Region):
             raise ValueError("synthesize expects Region witnesses")
-        if region.system is not ts and region.system != ts:
+        if not same(region.system):
             raise ValueError("witness region does not belong to the input TS")
     places = tuple(f"p{i}" for i in range(len(regions)))
     flows: set[tuple[str, str]] = set()

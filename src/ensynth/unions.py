@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .regions import Region
+from .regions import Region, _same_system
 from .ts import Edge, ParseError, TransitionSystem, _content_lines, _linear_chain, parse_ts
 
 __all__ = [
@@ -181,7 +181,7 @@ def lift_region(
     (signature +1), and empty when no such edge exists.  The extended
     region keeps the original signature on all old events.
     """
-    if region.system is not union and region.system != union:
+    if not _same_system(union)(region.system):
         raise ValueError("region does not belong to the given union")
     sig = region.signature
     members = list(region.members)

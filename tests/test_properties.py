@@ -20,8 +20,9 @@ from ensynth.properties import (
     separable,
 )
 from ensynth.regions import Region, RegionConstraint, enumerate_regions, solve_region
-from ensynth.ts import TransitionSystem, parse_ts
-from ensynth.unions import make_union
+from ensynth.synthesis import synthesize
+from ensynth.ts import TransitionSystem, parse_ts, serialize_ts
+from ensynth.unions import TsUnion, lift_region, make_union
 
 from conftest import brute_essp, brute_feasible, brute_ssp
 from corpus import random_linear_ts, small_ts_corpus
@@ -140,6 +141,38 @@ def test_witness_checks_refuse_a_mask_that_is_not_a_region():
     for check in (is_ssp_witness, is_essp_witness):
         with pytest.raises(ValueError, match="not a region"):
             check(twice, [not_a_region])
+
+
+def test_an_equal_system_is_compared_once_per_call(master, monkeypatch):
+    regions = list(is_feasible(master).witnesses.regions)
+    assert len(regions) > 2
+    checked, other_copy = parse_ts(serialize_ts(master)), parse_ts(serialize_ts(master))
+    moved = [Region(other_copy, r.mask) for r in regions]
+    calls = []
+    for cls in (TransitionSystem, TsUnion):
+        eq = cls.__eq__
+        monkeypatch.setattr(
+            cls, "__eq__", lambda a, b, cls=cls, eq=eq: calls.append(cls) or eq(a, b))
+    checks = (
+        is_ssp_witness, is_essp_witness, synthesize,
+        lambda sys_obj, rs: has_essp(sys_obj, seed_regions=rs),
+    )
+    for check in checks:
+        for witnesses, systems in ((regions, 1), (regions + moved, 2)):
+            calls.clear()
+            check(checked, witnesses)
+            assert len(calls) <= systems
+        with pytest.raises(ValueError):
+            check(checked, enumerate_regions(TransitionSystem.chain(["x"])))
+    union = make_union([TransitionSystem.chain(["e"], prefix="a")])
+    equal = make_union([TransitionSystem.chain(["e"], prefix="a")])
+    extra = TransitionSystem.chain(["u", "e", "w"], prefix="b")
+    calls.clear()
+    lifted = lift_region(union, Region.from_members(equal, ["a0"]), [extra])
+    # Comparing the unions compares their components too.
+    assert calls.count(TsUnion) <= 1 and set(lifted.members) == {"a0", "b0", "b1"}
+    with pytest.raises(ValueError):
+        lift_region(union, Region.from_members(make_union([extra]), ["b0"]), [extra])
 
 
 def test_union_pairs_skip_components():

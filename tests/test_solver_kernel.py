@@ -1,0 +1,415 @@
+"""Differential tests of the solver's propagation kernel.
+
+The solver closes the edge equations with one kernel, ``_Solver._propagate``,
+that queues an edge only when its revision can narrow a domain.  The
+reference below is the earlier solver, kept whole: ``_set_mem``, ``_set_sig``
+and ``_touch`` made each change, and a change queued every active edge at
+the state, or every edge of the event, the revised edge itself included.
+Arc-consistency closure is confluent, so after seeding both hold the same
+domains and the same touched events, and the search, which reads only those,
+yields the same regions in the same order.
+
+Random deterministic systems and two-component unions of at most 12 states,
+some with an edgeless event and some with self-loops (R(s) = R(s) +
+sig(e)), are checked under random constraints.  Fixed instances cover a
+solve that backtracks and both ways ``_solution`` reads the members.
+"""
+
+import random
+from collections import deque
+from heapq import heappop, heappush
+from typing import Optional
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ensynth.regions import (
+    _MEM_ALL, _MEMBER_DIGITS, _SIG_BIT, Region, RegionConstraint, _indexed, _revise,
+    _Solver, _Unsatisfiable, solve_all_regions, solve_region,
+)
+from ensynth.ts import TransitionSystem
+from ensynth.unions import TsUnion
+
+from test_solver_differential import systems
+
+EXAMPLES = settings(max_examples=80, deadline=None)
+
+# -- the reference: the earlier propagation ------------------------------
+
+REFERENCE_REVISE = tuple(
+    _revise(key & 0b11, (key >> 2) & 0b111, key >> 5) for key in range(128)
+)
+
+
+class ReferenceSolver:
+    """The earlier solver, verbatim but for its name and ``_REVISE``.
+
+    Edges of globally-unique events are excluded from propagation unless
+    the constraint pins their signature: a single-occurrence event absorbs
+    any membership difference, so such edges never constrain anything and
+    their signature is derived from the solution afterwards.
+
+    Every domain change, touched flag and heap pop is recorded on a trail
+    as (array, position, old value), or (None, event, 0) for a pop, so a
+    branch is undone by replaying the trail back to the frame's mark.
+    """
+
+    def __init__(self, sys, constraint: RegionConstraint, deadline=None):
+        idx = _indexed(sys)
+        for name in constraint.membership:
+            if name not in idx.state_pos:
+                raise KeyError(f"unknown state {name!r} in constraint")
+        for name in constraint.signature:
+            if name not in idx.event_pos:
+                raise KeyError(f"unknown event {name!r} in constraint")
+        self.sys = sys
+        self.idx = idx
+        self.deadline = deadline
+        self.mem = bytearray(b"\x03") * len(idx.states)
+        self.sig = bytearray(b"\x07") * len(idx.events)
+        self.queue: deque[int] = deque()
+        self.trail: list[tuple] = []
+
+        # Events eligible for branching: repeated events and pinned ones.
+        self.active = bytearray(idx.active)
+        self.branchable = bytearray(idx.repeated)
+        for ev in constraint.signature:
+            e = idx.event_pos[ev]
+            if not self.branchable[e]:
+                self.branchable[e] = 1
+                for eid in idx.event_edges[e]:
+                    self.active[eid] = 1
+        # `touched` tracks the constraint's cone of influence; touched events
+        # are branched first, ordered by declaration (a min-heap with lazy
+        # deletion).  Generated gadget unions declare events in chain
+        # order, so this keeps conflicting choices chronologically close
+        # and stops local conflicts from being re-proved under unrelated
+        # assignments.
+        self.touched = bytearray(len(idx.events))
+        self.touch_heap: list[int] = []
+
+        self.failed = False
+        try:
+            for st, val in constraint.membership.items():
+                self._set_mem(idx.state_pos[st], 0b01 if val == 0 else 0b10)
+            for ev, val in constraint.signature.items():
+                e = idx.event_pos[ev]
+                if val and not idx.event_edges[e]:
+                    raise _Unsatisfiable  # an edgeless event has signature 0
+                self._set_sig(e, _SIG_BIT[val])
+            self._drain()
+        except _Unsatisfiable:
+            self.failed = True
+
+    # -- propagation ----------------------------------------------------
+
+    def _touch(self, e: int):
+        if self.touched[e]:
+            return
+        self.touched[e] = 1
+        self.trail.append((self.touched, e, 0))
+        if self.branchable[e]:
+            d = self.sig[e]
+            if d & (d - 1):
+                heappush(self.touch_heap, e)
+
+    def _set_mem(self, s: int, bits: int):
+        mem = self.mem
+        old = mem[s]
+        new = old & bits
+        if new == old:
+            return
+        if new == 0:
+            raise _Unsatisfiable
+        self.trail.append((mem, s, old))
+        mem[s] = new
+        active, eev, queue = self.active, self.idx.eev, self.queue
+        for eid in self.idx.state_edges[s]:
+            if active[eid]:
+                queue.append(eid)
+                self._touch(eev[eid])
+
+    def _set_sig(self, e: int, bits: int):
+        sig = self.sig
+        old = sig[e]
+        new = old & bits
+        if new == old:
+            return
+        if new == 0:
+            raise _Unsatisfiable
+        self.trail.append((sig, e, old))
+        sig[e] = new
+        self._touch(e)
+        # Only events with active edges get here, and all their edges are.
+        self.queue.extend(self.idx.event_edges[e])
+
+    def _drain(self):
+        """Arc-consistency over the edge equations R(t) = R(s) + sig(e)."""
+        idx = self.idx
+        esrc, eev, edst = idx.esrc, idx.eev, idx.edst
+        queue = self.queue
+        mem, sig = self.mem, self.sig
+        while queue:
+            eid = queue.popleft()
+            s, e, t = esrc[eid], eev[eid], edst[eid]
+            ms, mg, mt = mem[s], sig[e], mem[t]
+            revised = REFERENCE_REVISE[ms | mg << 2 | mt << 5]
+            if revised is None:
+                raise _Unsatisfiable
+            ns, ng, nt = revised
+            if ns != ms:
+                self._set_mem(s, ns)
+            if ng != mg:
+                self._set_sig(e, ng)
+            if nt != mt:
+                self._set_mem(t, nt)
+
+    def _assign(self, kind: str, var: int, bits: int):
+        self.queue.clear()
+        if kind == "event":
+            self._set_sig(var, bits)
+        else:
+            self._set_mem(var, bits)
+        self._drain()
+
+    def _undo(self, mark: int):
+        trail, heap = self.trail, self.touch_heap
+        while len(trail) > mark:
+            array, pos, old = trail.pop()
+            if array is None:
+                heappush(heap, pos)
+            else:
+                array[pos] = old
+
+    # -- search ---------------------------------------------------------
+
+    def _pick_touched(self) -> Optional[int]:
+        """Smallest touched event whose domain still has more than one value.
+
+        An event is touched when its own domain is restricted or an incident
+        state got decided; branching those first keeps search inside the
+        constraint's cone of influence.  Heap entries of events untouched
+        by an undo are dropped; popped decided events go on the trail so an
+        undo that reopens their domain restores them.
+        """
+        heap, sig, touched = self.touch_heap, self.sig, self.touched
+        while heap:
+            e = heap[0]
+            if touched[e]:
+                d = sig[e]
+                if d & (d - 1):
+                    return e
+                self.trail.append((None, e, 0))
+            heappop(heap)
+        return None
+
+    def _pick_free(self):
+        """Branch variable outside the cone: free events, then states."""
+        sig, branchable = self.sig, self.branchable
+        for e in range(len(sig)):
+            d = sig[e]
+            if branchable[e] and d & (d - 1):
+                return ("event", e)
+        for s, m in enumerate(self.mem):
+            if m == _MEM_ALL:
+                return ("state", s)
+        return None
+
+    def _solution(self) -> Region:
+        """The decided members, read from the trail, where a state appears
+        at most once on a path; undecided states read as non-members."""
+        mem = self.mem
+        members = sorted([s for array, s, _ in self.trail if array is mem and mem[s] == 0b10])
+        # Shifting a bit in costs about as much as reading 32 domain bytes.
+        if 32 * len(members) < len(mem):
+            mask = sum(map((1).__lshift__, members))
+        else:
+            mask = int(mem.translate(_MEMBER_DIGITS)[::-1], 2)
+        return Region(self.sys, mask, tuple(members))
+
+    def solutions(self, limit=None, first_only=False):
+        """DFS over branch choices; yields regions deterministically.
+
+        With ``first_only`` the search stops once no touched event is left
+        to branch on: everything outside the cone of influence is free, and
+        the all-zero extension (undecided states outside, undecided events
+        obeying) is a solution.
+        """
+        if self.failed:
+            return
+        count = 0
+        deadline = self.deadline
+        # Frame: [trail mark, kind, var, values, next value index]
+        stack: list[list] = []
+        while True:
+            e = self._pick_touched()
+            if e is not None:
+                pick = ("event", e)
+            elif first_only:
+                yield self._solution()
+                return
+            else:
+                pick = self._pick_free()
+            if pick is None:
+                yield self._solution()
+                count += 1
+                if limit is not None and count >= limit:
+                    return
+            else:
+                kind, var = pick
+                if kind == "event":
+                    values = [b for b in (0b010, 0b001, 0b100) if self.sig[var] & b]
+                else:
+                    values = [0b01, 0b10]
+                stack.append([len(self.trail), kind, var, values, 0])
+            # Take the next untried value of the deepest frame.
+            while stack:
+                frame = stack[-1]
+                i = frame[4]
+                if i == len(frame[3]):
+                    stack.pop()
+                    continue
+                frame[4] = i + 1
+                if deadline is not None:
+                    deadline.check()
+                self._undo(frame[0])
+                try:
+                    self._assign(frame[1], frame[2], frame[3][i])
+                except _Unsatisfiable:
+                    continue
+                break
+            else:
+                return
+
+
+# -- inputs ----------------------------------------------------------------
+
+def _with_self_loops(ts: TransitionSystem, rng: random.Random) -> TransitionSystem:
+    """``ts`` plus self-loops on some states, by events not yet leaving them."""
+    leaving = {(src, ev) for src, ev, _ in ts.edges}
+    loops = [(s, e, s) for s in ts.states for e in ts.events
+             if (s, e) not in leaving and rng.random() < 0.15]
+    return TransitionSystem(ts.states, ts.events, ts.initial, (*ts.edges, *loops))
+
+
+@st.composite
+def looped_systems(draw):
+    """The systems of the solver differential, half of them with self-loops."""
+    sys_obj = draw(systems())
+    if draw(st.booleans()):
+        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+        if isinstance(sys_obj, TransitionSystem):
+            sys_obj = _with_self_loops(sys_obj, rng)
+        else:
+            sys_obj = TsUnion([_with_self_loops(c, rng) for c in sys_obj.components])
+    return sys_obj
+
+
+def _constraint(data, sys_obj) -> RegionConstraint:
+    return RegionConstraint(
+        data.draw(st.dictionaries(
+            st.sampled_from(sys_obj.states), st.integers(0, 1), max_size=3)),
+        data.draw(st.dictionaries(
+            st.sampled_from(sys_obj.events), st.integers(-1, 1), max_size=2)),
+    )
+
+
+def _found(regions):
+    return [(r.mask, r._members) for r in regions]
+
+
+# -- the kernel against the reference ----------------------------------------
+
+@EXAMPLES
+@given(looped_systems(), st.data())
+def test_seeding_matches_the_reference(sys_obj, data):
+    constraint = _constraint(data, sys_obj)
+    solver, reference = _Solver(sys_obj, constraint), ReferenceSolver(sys_obj, constraint)
+    assert solver.failed == reference.failed
+    if not solver.failed:  # a failed seeding stops wherever it found the conflict
+        assert solver.mem == reference.mem
+        assert solver.sig == reference.sig
+        assert solver.touched == reference.touched
+    assert not solver.queue and not any(solver.queued)
+
+
+@EXAMPLES
+@given(looped_systems(), st.data())
+def test_solve_region_matches_the_reference(sys_obj, data):
+    constraint = _constraint(data, sys_obj)
+    found = solve_region(sys_obj, constraint)
+    expected = list(ReferenceSolver(sys_obj, constraint).solutions(first_only=True))
+    assert _found([found] if found is not None else []) == _found(expected)
+
+
+@EXAMPLES
+@given(looped_systems(), st.data())
+def test_solve_all_regions_matches_the_reference(sys_obj, data):
+    constraint = _constraint(data, sys_obj)
+    expected = list(ReferenceSolver(sys_obj, constraint).solutions())
+    assert _found(solve_all_regions(sys_obj, constraint)) == _found(expected)
+
+
+# -- fixed instances -----------------------------------------------------------
+
+class _WatchedSolver(_Solver):
+    """Records each propagation's outcome and whether it left the queue and
+    every ``queued`` flag clear."""
+
+    def __init__(self, *args):
+        self.outcomes = []
+        super().__init__(*args)
+
+    def _propagate(self, kind, var, bits):
+        try:
+            super()._propagate(kind, var, bits)
+            outcome = "ok"
+        except _Unsatisfiable:
+            outcome = "conflict"
+            raise
+        finally:
+            self.outcomes.append((outcome, not self.queue and not any(self.queued)))
+
+
+def test_a_solve_that_backtracks_leaves_every_flag_clear():
+    ts = TransitionSystem.from_edges("q0", [
+        ("q0", "e0", "q1"), ("q1", "e2", "q2"), ("q2", "e1", "q3"),
+        ("q2", "e2", "q4"), ("q3", "e0", "q1"),
+    ])
+    constraint = RegionConstraint(membership={"q4": 0, "q3": 1})
+    solver = _WatchedSolver(ts, constraint)
+    found = list(solver.solutions(first_only=True))
+    assert ("conflict", True) in solver.outcomes  # the search backtracked ...
+    assert solver.outcomes[-1] == ("ok", True)  # ... and then succeeded
+    assert all(clear for _, clear in solver.outcomes)
+    expected = list(ReferenceSolver(ts, constraint).solutions(first_only=True))
+    assert _found(found) == _found(expected) and found[0].members == ("q0", "q3")
+    # Every region, with the conflicts of the whole search.
+    solver = _WatchedSolver(ts, constraint)
+    assert _found(solver.solutions()) == _found(ReferenceSolver(ts, constraint).solutions())
+    assert all(clear for _, clear in solver.outcomes)
+
+
+def _seeded_chain(n_states: int, seed: int) -> TransitionSystem:
+    """A chain whose every fourth event is unique and the rest drawn from 60."""
+    rng = random.Random(seed)
+    return TransitionSystem.chain([
+        f"u{i}" if i % 4 == 0 else f"a{rng.randrange(60)}" for i in range(n_states - 1)
+    ])
+
+
+@pytest.mark.parametrize("ts, constraint, reads_trail", [
+    (_seeded_chain(300, 300), RegionConstraint(membership={"s150": 1}), True),
+    (_seeded_chain(300, 300), RegionConstraint(signature={"a1": -1}), True),
+    (TransitionSystem.chain(["a", "b"] * 149 + ["a"]),
+     RegionConstraint(signature={"a": 1}), False),
+    (TransitionSystem.chain(["a", "b"] * 149 + ["a"]),
+     RegionConstraint(membership={"s0": 1}), False),
+])
+def test_solution_reads_the_members_from_the_trail_or_the_domains(ts, constraint, reads_trail):
+    solver = _Solver(ts, constraint)
+    found = list(solver.solutions(first_only=True))
+    assert (5 * len(solver.trail) <= len(solver.mem)) == reads_trail
+    expected = list(ReferenceSolver(ts, constraint).solutions(first_only=True))
+    assert _found(found) == _found(expected)
+    assert found[0]._members == tuple(i for i in range(300) if found[0].mask >> i & 1)
