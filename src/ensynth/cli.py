@@ -47,6 +47,17 @@ def _read(path: str) -> str:
         raise _InputError(f"cannot read {path}: {exc.strerror}") from exc
 
 
+def _write(path, text: str) -> None:
+    """Write ``text`` to the file ``path``, or to stdout when no path is given."""
+    if not path:
+        print(text, end="")
+        return
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise _InputError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def _load_system(path: str):
     """A .ts file yields a TransitionSystem, a .union file a TsUnion."""
     text = _read(path)
@@ -216,22 +227,14 @@ def _cmd_synthesize(args) -> int:
             return 1
         regions = verdict.witnesses.regions
     net = synthesis.synthesize(ts, regions)
-    text = synthesis.serialize_ens(net)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        print(text, end="")
+    _write(args.out, synthesis.serialize_ens(net))
     return 0
 
 
 def _cmd_reach_graph(args) -> int:
     net = synthesis.parse_ens(_read(args.file))
     result = synthesis.reachability_graph(net)
-    text = serialize_ts(result.ts)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        print(text, end="")
+    _write(args.out, serialize_ts(result.ts))
     if not result.report.ok:
         print(f"note: graph is not admissible: {result.report}", file=sys.stderr)
     return 0
@@ -267,25 +270,26 @@ def _cmd_reduce(args) -> int:
         source = parse_ts(_read(args.infile))
     instance = builder(source)
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _InputError(f"cannot write {outdir}: {exc.strerror}") from exc
     stem = args.construction
-    (outdir / f"{stem}.union").write_text(
-        serialize_union(instance.union, instance.join_plan), encoding="utf-8"
-    )
+    _write(outdir / f"{stem}.union", serialize_union(instance.union, instance.join_plan))
     plan_lines = [
         f"terminal C{i} {t}"
         for i, t in enumerate(instance.join_plan.terminals)
         if t is not None
     ]
-    (outdir / f"{stem}.plan").write_text("\n".join(plan_lines) + "\n", encoding="utf-8")
+    _write(outdir / f"{stem}.plan", "\n".join(plan_lines) + "\n")
     manifest = []
     if instance.key_query:
         manifest.append(f"inhibit {instance.key_query[0]} {instance.key_query[1]}")
     for a, b in instance.key_pairs:
         manifest.append(f"separate {a} {b}")
-    (outdir / f"{stem}.query").write_text("\n".join(manifest) + "\n", encoding="utf-8")
+    _write(outdir / f"{stem}.query", "\n".join(manifest) + "\n")
     joined = join(instance.union, instance.join_plan)
-    (outdir / f"{stem}.ts").write_text(serialize_ts(joined), encoding="utf-8")
+    _write(outdir / f"{stem}.ts", serialize_ts(joined))
     print(f"wrote {stem}.union, {stem}.plan, {stem}.query, {stem}.ts to {outdir}")
     return 0
 
@@ -335,11 +339,7 @@ def _cmd_export_dot(args) -> int:
     else:
         obj = parse_ts(text)
     shade = set(args.shade.split(",")) if args.shade else set()
-    dot = export_dot(obj, shade)
-    if args.out:
-        Path(args.out).write_text(dot, encoding="utf-8")
-    else:
-        print(dot, end="")
+    _write(args.out, export_dot(obj, shade))
     return 0
 
 

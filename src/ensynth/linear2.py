@@ -22,8 +22,8 @@ from types import MappingProxyType
 from typing import NamedTuple, Optional
 
 from .properties import SeparationQuery, Verdict, WitnessMap
-from .regions import Region, _indexed
-from .ts import TransitionSystem, _linear_chain
+from .regions import Region
+from .ts import TransitionSystem, _indexed, _linear_chain
 
 __all__ = [
     "second_occurrence_index",

@@ -20,7 +20,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .regions import Region, RegionConstraint, _indexed, _same_system, solve_region
+from .regions import Region, RegionConstraint, _positions, _same_system, solve_region
+from .ts import _indexed
 
 __all__ = [
     "SeparationQuery",
@@ -78,22 +79,6 @@ def _answers(region: Region, query: SeparationQuery) -> bool:
     return False
 
 
-def _ssp_queries(sys):
-    states = sys.states
-    component_of = getattr(sys, "component_of", None)
-    for i, s in enumerate(states):
-        for s2 in states[i + 1:]:
-            if component_of is None or component_of[s] == component_of[s2]:
-                yield SeparationQuery.states(s, s2)
-
-
-def _essp_queries(sys):
-    for e in sys.events:
-        for s in sys.states:
-            if not sys.has_edge(s, e):
-                yield SeparationQuery.event_state(e, s)
-
-
 class WitnessMap(Mapping):
     """Lazy query -> Region view backed by the found witness list.
 
@@ -108,12 +93,6 @@ class WitnessMap(Mapping):
         self._kinds = kinds
         self.regions = regions
 
-    def _queries(self):
-        if "ssp" in self._kinds:
-            yield from _ssp_queries(self._sys)
-        if "essp" in self._kinds:
-            yield from _essp_queries(self._sys)
-
     def __getitem__(self, query: SeparationQuery) -> Region:
         for region in self.regions:
             if _answers(region, query):
@@ -121,7 +100,20 @@ class WitnessMap(Mapping):
         raise KeyError(query)
 
     def __iter__(self):
-        return self._queries()
+        """The queries in sweep order: the intra-component state pairs, then
+        the (event, state) pairs with the event not enabled, events outer."""
+        idx = _indexed(self._sys)
+        states = idx.states
+        if "ssp" in self._kinds:
+            partition = _Partition(self._sys, idx)
+            for i, s in enumerate(states):
+                later = partition.blocks[partition.block_of[i]] >> (i + 1) << (i + 1)
+                for j in _positions(idx, later):
+                    yield SeparationQuery.states(s, states[j])
+        if "essp" in self._kinds:
+            for e, pending in zip(idx.events, _essp_pending(idx)):
+                for i in _positions(idx, pending):
+                    yield SeparationQuery.event_state(e, states[i])
 
     def __len__(self):
         """The query count, from block sizes and per-event counts."""
@@ -149,8 +141,8 @@ def separable(sys, s: str, s2: str) -> Optional[Region]:
     """Region with R(s)=1, R(s2)=0, or None; polarity covers the complement."""
     if s == s2:
         raise ValueError("separable needs two distinct states")
-    component_of = getattr(sys, "component_of", None)
-    if component_of is not None and component_of[s] != component_of[s2]:
+    idx = _indexed(sys)
+    if idx.component[idx.state_pos[s]] != idx.component[idx.state_pos[s2]]:
         raise ValueError(
             "states from different union components are separable by definition"
         )
@@ -182,17 +174,14 @@ class _Deadline:
 
 
 class _Partition:
-    """The states that no absorbed region separates yet, as the blocks of a
-    partition: one block per component at the start, refined by every
-    region, so the open pairs of a state are the other states of its block.
+    """The states of ``sys`` that no absorbed region separates yet, as the
+    blocks of a partition: one block per component at the start, numbered
+    as in ``idx``, the index of ``sys``, and refined by every region, so the
+    open pairs of a state are the other states of its block.
     """
 
     def __init__(self, sys, idx):
-        component_of = getattr(sys, "component_of", None)
-        if component_of is None:
-            self.block_of = [0] * len(idx.states)
-        else:
-            self.block_of = [component_of[s] for s in idx.states]
+        self.block_of = list(idx.component)
         self.blocks = [0] * (max(self.block_of) + 1)
         for i, b in enumerate(self.block_of):
             self.blocks[b] |= 1 << i
@@ -225,7 +214,7 @@ def _run_ssp(sys, deadline: _Deadline, regions: list[Region]):
     n = len(idx.states)
     partition = _Partition(sys, idx)
     blocks, block_of = partition.blocks, partition.block_of
-    components, component_ids = list(blocks), list(block_of)
+    components = list(blocks)
 
     for region in regions:
         partition.absorb(region)
@@ -248,7 +237,7 @@ def _run_ssp(sys, deadline: _Deadline, regions: list[Region]):
                 return SeparationQuery.states(idx.states[i], idx.states[j])
             regions.append(witness)
             partition.absorb(witness)
-        deadline.checked += (components[component_ids[i]] & above).bit_count()
+        deadline.checked += (components[idx.component[i]] & above).bit_count()
     return None
 
 

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .regions import Region
-from .ts import ParseError, TransitionSystem, _content_lines, classify
-from .unions import JoinPlan, TsUnion, default_join_plan, make_union, rectify
+from .ts import ParseError, TransitionSystem, _content_lines, _linear_chain, classify
+from .unions import JoinPlan, TsUnion, default_join_plan, join, make_union, rectify
 
 __all__ = [
     "CubicMonotoneFormula",
@@ -164,8 +164,6 @@ class GadgetInstance:
     source: object = None
 
     def joined(self) -> TransitionSystem:
-        from .unions import join
-
         return join(self.union, self.join_plan)
 
 
@@ -358,15 +356,9 @@ def _query_sub_union(ts: TransitionSystem, event: str, state: str) -> TsUnion:
             src = post
         copy_edges.append((src, ev, dst))
     copy_edges.extend([(state, h1, mid), (mid, h2, post)])
-    succ = {src: (src, ev, dst) for src, ev, dst in copy_edges}
-    ordered = []
-    cursor = ts.initial
-    while cursor in succ:
-        edge = succ.pop(cursor)
-        ordered.append(edge)
-        cursor = edge[2]
-    assert not succ, "copy gadget must stay a single chain"
-    sub.append(TransitionSystem.from_edges(ts.initial, ordered))
+    chain = _linear_chain(TransitionSystem.from_edges(ts.initial, copy_edges))
+    assert chain is not None, "copy gadget must stay a single chain"
+    sub.append(_chain_ts(ts.initial, chain[1], chain[0]))
     return make_union(sub)
 
 

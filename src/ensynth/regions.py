@@ -23,13 +23,13 @@ Two engines are provided:
 A solve costs what the constraint reaches, not what the system holds.
 The system (a :class:`~ensynth.ts.TransitionSystem` or a
 :class:`~ensynth.unions.TsUnion`, which is just a disconnected graph)
-owns its integer index, built on first use and kept in its ``_index``
-slot.  Full domains are arc-consistent, so the propagation queue is seeded
-from the constraint only, and the search undoes a branch through a trail
-of changed values instead of copying the domains at every frame.  The
-queue takes an edge only when its revision can narrow a domain: at most
-once, never by its own revision, and not while it is open (both ends
-undecided) and its event may still obey (sig = 0).
+owns one integer index, which ``ts`` defines and builds on first use for
+every layer.  Full domains are arc-consistent, so the propagation queue
+is seeded from the constraint only, and the search undoes a branch
+through a trail of changed values instead of copying the domains at
+every frame.  The queue takes an edge only when its revision can narrow
+a domain: at most once, never by its own revision, and not while it is
+open (both ends undecided) and its event may still obey (sig = 0).
 """
 
 from __future__ import annotations
@@ -38,6 +38,8 @@ from collections import deque
 from heapq import heappop, heappush
 from itertools import compress
 from typing import Callable, Iterable, Mapping, Optional
+
+from .ts import _Index, _indexed, _linear_chain
 
 __all__ = [
     "Region",
@@ -102,55 +104,11 @@ _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 _MEMBER_DIGITS = bytes(0x31 if d == 0b10 else 0x30 for d in range(256))
 
 
-def _positions(mask: int) -> tuple[int, ...]:
-    """Positions of the set bits of ``mask``, ascending: one O(|S|) read."""
+def _positions(idx: _Index, mask: int) -> tuple[int, ...]:
+    """Positions of the set bits of ``mask``, ascending, as the index's
+    shared ints: one O(|S|) read."""
     digits = bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
-    return tuple(compress(range(len(digits)), digits))
-
-
-class _Index:
-    """Integer-indexed view of a system, owned by the system object.
-
-    ``repeated`` flags the events that occur more than once and ``active``
-    their edges: a single-occurrence event absorbs any membership
-    difference, so its edge constrains nothing.  ``positions`` holds each
-    state position as one shared int for the member tuples of solutions.
-    """
-
-    __slots__ = (
-        "states", "events", "state_pos", "event_pos", "esrc", "eev", "edst",
-        "event_edges", "state_edges", "active", "repeated", "positions",
-    )
-
-    def __init__(self, sys):
-        self.states = tuple(sys.states)
-        self.events = tuple(sys.events)
-        self.state_pos = {s: i for i, s in enumerate(self.states)}
-        self.positions = tuple(range(len(self.states)))
-        self.event_pos = {e: i for i, e in enumerate(self.events)}
-        esrc, eev, edst = [], [], []
-        self.event_edges = [[] for _ in self.events]
-        self.state_edges = [[] for _ in self.states]
-        for src, ev, dst in sys.edges:
-            eid = len(esrc)
-            s, e, t = self.state_pos[src], self.event_pos[ev], self.state_pos[dst]
-            esrc.append(s)
-            eev.append(e)
-            edst.append(t)
-            self.event_edges[e].append(eid)
-            self.state_edges[s].append(eid)
-            self.state_edges[t].append(eid)
-        self.esrc, self.eev, self.edst = tuple(esrc), tuple(eev), tuple(edst)
-        self.repeated = bytearray(len(es) > 1 for es in self.event_edges)
-        self.active = bytearray(self.repeated[e] for e in eev)
-
-
-def _indexed(sys) -> _Index:
-    idx = sys._index
-    if idx is None:
-        idx = _Index(sys)
-        object.__setattr__(sys, "_index", idx)
-    return idx
+    return tuple(compress(idx.positions, digits))
 
 
 def _same_system(sys) -> Callable[[object], bool]:
@@ -198,7 +156,7 @@ class Region:
 
     def _member_positions(self) -> tuple[int, ...]:
         if self._members is None:
-            self._members = _positions(self.mask)
+            self._members = _positions(_indexed(self.system), self.mask)
         return self._members
 
     def _side(self) -> tuple[tuple[int, ...], int]:
@@ -206,11 +164,12 @@ class Region:
         or the non-members (-1) when the region holds more than half the
         states.  A region and its complement cut the same edges, and each
         cut edge has an end on either side."""
-        n = len(_indexed(self.system).states)
+        idx = _indexed(self.system)
+        n = len(idx.states)
         members = self._members
         if 2 * (self.mask.bit_count() if members is None else len(members)) <= n:
             return self._member_positions(), 1
-        return _positions(self.mask ^ ((1 << n) - 1)), -1
+        return _positions(idx, self.mask ^ ((1 << n) - 1)), -1
 
     def _cut_signs(self) -> dict[int, int]:
         """Signature of each event the region cuts, by event id; every other
@@ -718,8 +677,6 @@ def enumerate_regions(sys, cap: int = 22) -> list[Region]:
 
 def aggregate_signature(region: Region, ts, i: int, j: int) -> int:
     """R(s_j) - R(s_i) along a linear TS, i.e. the signature sum over e_{i+1}..e_j."""
-    from .ts import _linear_chain  # regions stays otherwise TS-agnostic
-
     chain = _linear_chain(ts)
     if chain is None:
         raise ValueError("aggregate_signature requires a linear transition system")

@@ -23,6 +23,7 @@ from .ts import (
     ValidationReport,
     _check_identifier,
     _content_lines,
+    _indexed,
     validate,
 )
 
@@ -213,11 +214,10 @@ def check_morphism(ts: TransitionSystem, regions: Sequence[Region]) -> bool:
 
 
 def _require_deterministic(ts: TransitionSystem, what: str) -> None:
-    seen = set()
-    for src, ev, _ in ts.edges:
-        if (src, ev) in seen:
-            raise ValueError(f"{what} requires deterministic transition systems")
-        seen.add((src, ev))
+    # Each successor map keeps one edge per event, so an edge is lost iff
+    # two leave the same state with the same event.
+    if sum(map(len, _indexed(ts).successors)) != len(ts.edges):
+        raise ValueError(f"{what} requires deterministic transition systems")
 
 
 def ts_isomorphic(a: TransitionSystem, b: TransitionSystem) -> bool:
@@ -237,8 +237,9 @@ def ts_isomorphic(a: TransitionSystem, b: TransitionSystem) -> bool:
         while head < len(order):
             s = order[head]
             head += 1
-            for ev in sorted(ts.successors(s)):
-                t = ts.successors(s)[ev]
+            succ = ts.successors(s)
+            for ev in sorted(succ):
+                t = succ[ev]
                 if t not in index:
                     index[t] = len(index)
                     order.append(t)

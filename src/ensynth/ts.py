@@ -35,7 +35,89 @@ IDENTIFIER = re.compile(r"[A-Za-z0-9_.:+-]+\Z")
 Edge = tuple[str, str, str]  # (source, event, target)
 
 
-class TransitionSystem:
+class _Index:
+    """Integer-indexed view of a system, built once and owned by the system.
+
+    ``repeated`` flags the events that occur more than once and ``active``
+    their edges: a single-occurrence event absorbs any membership
+    difference, so its edge constrains nothing.  ``positions`` holds each
+    state position as one shared int, which ``state_pos``, the edge arrays
+    and the member tuples of regions reuse.  ``component`` holds the
+    component id of each state position, and ``successors`` each state's
+    map event -> target, where the last edge wins.
+    """
+
+    __slots__ = (
+        "states", "events", "state_pos", "event_pos", "esrc", "eev", "edst",
+        "event_edges", "state_edges", "active", "repeated", "positions",
+        "component", "successors",
+    )
+
+    def __init__(self, sys):
+        self.states = tuple(sys.states)
+        self.events = tuple(sys.events)
+        self.positions = tuple(range(len(self.states)))
+        state_pos = self.state_pos = dict(zip(self.states, self.positions))
+        event_pos = self.event_pos = {e: i for i, e in enumerate(self.events)}
+        self.component = sys._component_ids()
+        esrc, eev, edst = [], [], []
+        event_edges = self.event_edges = [[] for _ in self.events]
+        state_edges = self.state_edges = [[] for _ in self.states]
+        successors = self.successors = [{} for _ in self.states]
+        for src, ev, dst in sys.edges:
+            eid = len(esrc)
+            s, e, t = state_pos[src], event_pos[ev], state_pos[dst]
+            esrc.append(s)
+            eev.append(e)
+            edst.append(t)
+            event_edges[e].append(eid)
+            state_edges[s].append(eid)
+            state_edges[t].append(eid)
+            successors[s][ev] = dst
+        self.esrc, self.eev, self.edst = tuple(esrc), tuple(eev), tuple(edst)
+        self.repeated = bytearray(len(es) > 1 for es in event_edges)
+        self.active = bytearray(self.repeated[e] for e in eev)
+
+
+def _indexed(sys) -> _Index:
+    idx = sys._index
+    if idx is None:
+        idx = _Index(sys)
+        object.__setattr__(sys, "_index", idx)
+    return idx
+
+
+class _System:
+    """The protocol a transition system and a union of them share.
+
+    A system has ``states``, ``events`` and ``edges`` and owns one integer
+    index, built on first use and kept in its ``_index`` slot; the region
+    solver, the deciders, ``successors`` and ``has_edge`` all read it.  A
+    system is one component unless its class numbers the components.
+    """
+
+    __slots__ = ("_index",)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _component_ids(self) -> tuple[int, ...]:
+        return (0,) * len(self.states)
+
+    def successors(self, state: str) -> dict[str, str]:
+        """Map event -> target for the edges leaving ``state``.
+
+        On nondeterministic graphs the last edge wins; admissible systems
+        are deterministic, so this is only a concern for raw graphs.
+        """
+        idx = self._index or _indexed(self)
+        return idx.successors[idx.state_pos[state]]
+
+    def has_edge(self, state: str, event: str) -> bool:
+        return event in self.successors(state)
+
+
+class TransitionSystem(_System):
     """Immutable edge-labeled graph with an initial state.
 
     State and event identifiers are opaque strings; iteration order is
@@ -44,11 +126,10 @@ class TransitionSystem:
     five admissibility conditions are checked by :func:`validate`.
     """
 
-    # ``_index`` (the integer index of ensynth.regions), ``_chain`` (see
-    # :func:`_linear_chain`) and ``_twofold`` (the other-occurrence index of
-    # ensynth.linear2) are built on first use, never by the constructor.
-    __slots__ = ("states", "events", "initial", "edges", "_succ", "_chain", "_twofold",
-                 "_hash", "_index")
+    # ``_index`` (see :class:`_System`), ``_chain`` (see :func:`_linear_chain`)
+    # and ``_twofold`` (the other-occurrence index of ensynth.linear2) are
+    # built on first use, never by the constructor.
+    __slots__ = ("states", "events", "initial", "edges", "_chain", "_twofold", "_hash")
 
     def __init__(
         self,
@@ -85,14 +166,10 @@ class TransitionSystem:
         object.__setattr__(self, "events", events)
         object.__setattr__(self, "initial", initial)
         object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "_succ", None)
         object.__setattr__(self, "_chain", None)
         object.__setattr__(self, "_twofold", None)
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_index", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TransitionSystem is immutable")
 
     def __reduce__(self):
         # Copies and pickles rebuild from the definition; caches start empty.
@@ -118,23 +195,6 @@ class TransitionSystem:
         """Linear TS prefix0 -word[0]-> prefix1 -...-> prefixN."""
         edges = [(f"{prefix}{i}", ev, f"{prefix}{i + 1}") for i, ev in enumerate(word)]
         return cls.from_edges(f"{prefix}0", edges)
-
-    def successors(self, state: str) -> dict[str, str]:
-        """Map event -> target for the edges leaving ``state``.
-
-        On nondeterministic graphs the last edge wins; admissible systems
-        are deterministic, so this is only a concern for raw graphs.
-        """
-        succ = self._succ
-        if succ is None:
-            succ = {s: {} for s in self.states}
-            for src, ev, dst in self.edges:
-                succ[src][ev] = dst
-            object.__setattr__(self, "_succ", succ)
-        return succ[state]
-
-    def has_edge(self, state: str, event: str) -> bool:
-        return event in self.successors(state)
 
     def rename(self, fn) -> "TransitionSystem":
         """Apply ``fn`` to every state and event identifier."""
@@ -236,15 +296,17 @@ def validate(ts: TransitionSystem) -> ValidationReport:
     if loops:
         violations.append(Violation("loop-free", tuple(loops)))
 
-    reached = {ts.initial}
-    frontier = [ts.initial]
+    idx = _indexed(ts)
+    reached = {idx.state_pos[ts.initial]}
+    frontier = list(reached)
     while frontier:
-        state = frontier.pop()
-        for dst in ts.successors(state).values():
-            if dst not in reached:
-                reached.add(dst)
-                frontier.append(dst)
-    unreached = tuple(s for s in ts.states if s not in reached)
+        s = frontier.pop()
+        for eid in idx.state_edges[s]:  # every edge, not one per event
+            t = idx.edst[eid]
+            if idx.esrc[eid] == s and t not in reached:
+                reached.add(t)
+                frontier.append(t)
+    unreached = tuple(s for s, i in idx.state_pos.items() if i not in reached)
     if unreached:
         violations.append(Violation("reachable", unreached))
 
@@ -256,7 +318,7 @@ def validate(ts: TransitionSystem) -> ValidationReport:
     return ValidationReport(tuple(violations))
 
 
-def classify(ts: TransitionSystem) -> TsClass:
+def classify(ts: _System) -> TsClass:
     """Tight event manifoldness k, state degree g, and linearity flag."""
     k = max(Counter(ev for _, ev, _ in ts.edges).values(), default=0)
     outdeg = Counter(src for src, _, _ in ts.edges)
@@ -265,15 +327,18 @@ def classify(ts: TransitionSystem) -> TsClass:
     return TsClass(manifoldness=k, degree=g, linear=_linear_chain(ts) is not None)
 
 
-def _linear_chain(ts: TransitionSystem) -> tuple[tuple[str, ...], tuple[str, ...]] | None:
+def _linear_chain(ts: _System) -> tuple[tuple[str, ...], tuple[str, ...]] | None:
     """(states in chain order, event word) of a linear TS, or None.
 
     A TS is linear when one chain s0 -e1-> ... -et-> st from the initial
-    state runs through every state.  This is the package's only walk of a
-    chain; it reads the edge list, not ``successors``, and its result is
-    cached in the ``_chain`` slot (``()`` when the TS is not linear).  The
-    chain's states are ``ts.states`` itself when declared in chain order.
+    state runs through every state; a union has no initial state, so it is
+    never linear.  This is the package's only walk of a chain; it reads the
+    edge list, not the index, and its result is cached in the ``_chain``
+    slot (``()`` when the TS is not linear).  The chain's states are
+    ``ts.states`` itself when declared in chain order.
     """
+    if not isinstance(ts, TransitionSystem):
+        return None
     chain = ts._chain
     if chain is None:
         chain = ()
@@ -296,7 +361,7 @@ def _linear_chain(ts: TransitionSystem) -> tuple[tuple[str, ...], tuple[str, ...
     return chain or None
 
 
-def linear_word(ts: TransitionSystem) -> list[str]:
+def linear_word(ts: _System) -> list[str]:
     """Event sequence e1..et of a linear TS, in chain order."""
     chain = _linear_chain(ts)
     if chain is None:

@@ -14,7 +14,10 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .regions import Region, _same_system
-from .ts import Edge, ParseError, TransitionSystem, _content_lines, _linear_chain, parse_ts
+from .ts import (
+    Edge, ParseError, TransitionSystem, _content_lines, _linear_chain, _System, classify,
+    parse_ts, serialize_ts,
+)
 
 __all__ = [
     "TsUnion",
@@ -31,11 +34,11 @@ __all__ = [
 ]
 
 
-class TsUnion:
+class TsUnion(_System):
     """Ordered collection of state-disjoint TSs viewed as one system."""
 
-    # ``_index`` holds the integer index of ensynth.regions, built on first use.
-    __slots__ = ("components", "states", "events", "edges", "component_of", "_index")
+    # ``_index`` (see ensynth.ts._System) numbers each state by its component.
+    __slots__ = ("components", "states", "events", "edges", "component_of")
 
     def __init__(self, components: Sequence[TransitionSystem]):
         components = tuple(components)
@@ -64,23 +67,16 @@ class TsUnion:
         object.__setattr__(self, "component_of", component_of)
         object.__setattr__(self, "_index", None)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("TsUnion is immutable")
-
     def __reduce__(self):
         # Copies and pickles rebuild from the components; the index starts empty.
         return TsUnion, (self.components,)
 
-    def has_edge(self, state: str, event: str) -> bool:
-        comp = self.components[self.component_of[state]]
-        return event in comp.events and comp.has_edge(state, event)
+    def _component_ids(self) -> tuple[int, ...]:
+        return tuple(map(self.component_of.__getitem__, self.states))
 
     @property
     def manifoldness(self) -> int:
-        counts: dict[str, int] = {}
-        for _, ev, _ in self.edges:
-            counts[ev] = counts.get(ev, 0) + 1
-        return max(counts.values(), default=0)
+        return classify(self).manifoldness
 
     def __eq__(self, other):
         if not isinstance(other, TsUnion):
@@ -304,8 +300,6 @@ def serialize_union(
     terminal, which the text could not tell from no plan, is refused, and
     so is one whose length does not match the components.
     """
-    from .ts import serialize_ts
-
     if plan is not None:
         if len(plan.terminals) != len(union.components):
             raise ValueError("join plan does not match the number of components")

@@ -381,3 +381,19 @@ def test_ens_identifiers_are_checked(files, capsys):
     (files / "bad2.ens").write_text(".ens\nplace p0\ntransition t{\n")
     assert run(["reach-graph", str(files / "bad2.ens")]) == 2
     assert "line 3" in capsys.readouterr().err
+
+
+def test_unwritable_out_exits_2(files, capsys):
+    missing = str(files / "missing" / "x")
+    assert run(["synthesize", str(files / "master.ts"), "--out", str(files / "master.ens")]) == 0
+    for argv in (["synthesize", str(files / "master.ts"), "--out", missing],
+                 ["reach-graph", str(files / "master.ens"), "--out", missing],
+                 ["export-dot", str(files / "master.ts"), "--out", missing]):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write {missing}: No such file or directory\n"
+    taken = str(files / "abab.ts")
+    assert run(["reduce", "--construction", "linear3-essp",
+                "--in", str(files / "phi6.cnf3"), "--out", taken]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {taken}: File exists\n"

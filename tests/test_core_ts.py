@@ -38,6 +38,7 @@ def test_nondeterminism_reported():
         ["s0", "s1", "s2"], ["e"], "s0", [("s0", "e", "s1"), ("s0", "e", "s2")]
     )
     assert "deterministic" in validate(ts).kinds()
+    assert validate(ts).kinds() == {"deterministic"}
 
 
 def test_loops_simplicity_reachability_reported():
@@ -232,7 +233,7 @@ def test_classify_linear_shapes():
 def test_linear_chain_does_not_build_successors():
     ts = TransitionSystem.chain(["a", "b", "a"])
     assert linear_word(ts) == ["a", "b", "a"]
-    assert ts._succ is None
+    assert ts._index is None
 
 
 @pytest.mark.parametrize("ts", [
@@ -255,7 +256,7 @@ def test_copy_and_pickle_rebuild_without_caches(clone):
     assert again == ts and again is not ts
     assert (again.states, again.events, again.initial, again.edges) == (
         ts.states, ts.events, ts.initial, ts.edges)
-    assert again._succ is None and again._chain is None and again._index is None
+    assert again._chain is None and again._index is None
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(2, 8))

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ensynth.properties import has_essp, has_ssp, is_feasible
-from ensynth.regions import Region, check_region, enumerate_regions
-from ensynth.ts import ParseError, TransitionSystem, classify, validate
+from ensynth.regions import Region, aggregate_signature, check_region, enumerate_regions
+from ensynth.ts import ParseError, TransitionSystem, classify, linear_word, validate
 from ensynth.unions import (
     JoinPlan,
     TsUnion,
@@ -329,3 +329,14 @@ def test_union_copy_and_pickle_rebuild_without_index(clone):
     assert again.component_of == union.component_of
     assert again._index is None
     assert has_ssp(again).holds == verdict.holds
+
+
+def test_ts_only_helpers_see_a_union_as_not_linear():
+    """A union has no initial state, so it is never a chain."""
+    union = make_union([chain(["x"], prefix="a"), chain(["y"], prefix="b")])
+    cls = classify(union)
+    assert (cls.manifoldness, cls.degree, cls.linear) == (1, 1, False)
+    with pytest.raises(ValueError, match="linear_word requires a linear"):
+        linear_word(union)
+    with pytest.raises(ValueError, match="aggregate_signature requires a linear"):
+        aggregate_signature(Region.from_members(union, ["a1"]), union, 0, 1)

@@ -201,3 +201,14 @@ def test_solver_positions_on_longer_chains():
             assert region._cut_signs() == reference_cut_signs(idx, bits)
             shifted += 32 * len(region._member_positions()) < n
     assert shifted >= 10
+
+
+def test_complement_members_are_the_index_positions():
+    """Positions read from a mask are the index's own ints, so the members
+    of a big complement share them instead of holding one int each."""
+    ts = TransitionSystem.chain([f"e{k}" for k in range(400)])
+    big = Region.from_members(ts, ["s301", "s302"]).complement()
+    positions = _indexed(ts).positions
+    members = big._member_positions()
+    assert len(members) == 399
+    assert all(p is positions[p] for p in members)
