@@ -126,16 +126,21 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _run_property(args, checker, kind: str) -> int:
+# command -> (label, decider).  The lambdas look the deciders up when
+# called, so a rebound ``cli.has_ssp`` is the one that runs.
+_CHECKS = {
+    "check-ssp": ("SSP", lambda sys_obj, args: has_ssp(sys_obj, timeout=args.timeout)),
+    "check-essp": ("ESSP", lambda sys_obj, args: has_essp(
+        sys_obj, timeout=args.timeout, exhaustive=args.exhaustive_counterexamples)),
+    "check-feasible": ("feasibility", lambda sys_obj, args: is_feasible(
+        sys_obj, timeout=args.timeout)),
+}
+
+
+def _cmd_check(args) -> int:
+    kind, decide = _CHECKS[args.command]
     sys_obj, _ = _load_system(args.file)
-    try:
-        verdict = checker(sys_obj, timeout=args.timeout)
-    except TimeoutExceeded as exc:
-        print(
-            f"timeout: {exc.checked} of {exc.total} queries checked",
-            file=sys.stderr,
-        )
-        return 3
+    verdict = decide(sys_obj, args)
     lines = [f"{kind}: {'holds' if verdict.holds else 'fails'}"]
     payload = {"property": kind, "holds": verdict.holds}
     if verdict.holds:
@@ -153,29 +158,6 @@ def _run_property(args, checker, kind: str) -> int:
         lines.extend(f"counterexample: {q}" for q in failures)
     _emit(args, payload, lines)
     return 0 if verdict.holds else 1
-
-
-def _cmd_check_ssp(args) -> int:
-    def checker(sys_obj, timeout):
-        return has_ssp(sys_obj, timeout=timeout)
-
-    return _run_property(args, checker, "SSP")
-
-
-def _cmd_check_essp(args) -> int:
-    def checker(sys_obj, timeout):
-        return has_essp(
-            sys_obj, timeout=timeout, exhaustive=args.exhaustive_counterexamples
-        )
-
-    return _run_property(args, checker, "ESSP")
-
-
-def _cmd_check_feasible(args) -> int:
-    def checker(sys_obj, timeout):
-        return is_feasible(sys_obj, timeout=timeout)
-
-    return _run_property(args, checker, "feasibility")
 
 
 def _cmd_separator(args) -> int:
@@ -368,14 +350,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.set_defaults(fn=_cmd_classify)
 
-    for name, fn in (
-        ("check-ssp", _cmd_check_ssp),
-        ("check-essp", _cmd_check_essp),
-        ("check-feasible", _cmd_check_feasible),
-    ):
+    for name in _CHECKS:
         p = sub.add_parser(name, help=f"decide {name.split('-', 1)[1].upper()}")
         p.add_argument("file", help=".ts or .union input")
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=_cmd_check)
 
     p = sub.add_parser("separator", help="separating region for two chain states")
     p.add_argument("file")
@@ -430,6 +408,9 @@ def run(argv: list[str] | None = None) -> int:
     except (ParseError, _InputError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except TimeoutExceeded as exc:
+        print(f"timeout: {exc.checked} of {exc.total} queries checked", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

@@ -45,13 +45,14 @@ class _Linear2(NamedTuple):
 
 
 def _linear_2fold(ts: TransitionSystem) -> _Linear2:
-    """The check each public entry point makes, run once per TS: the
+    """The check each public entry point makes, run once per linear TS: the
     result is cached in the ``_twofold`` slot (``()`` when the TS is not
-    linear 2-fold), and the helpers below take it and trust it."""
-    lin = ts._twofold
+    2-fold), and the helpers below take it and trust it.  Anything that is
+    not a linear TS, a union included, has no slot and is refused first."""
+    chain = _linear_chain(ts)
+    lin = () if chain is None else ts._twofold
     if lin is None:
-        chain = _linear_chain(ts)
-        index = None if chain is None else _other_occurrences(chain[1])
+        index = _other_occurrences(chain[1])
         lin = () if index is None else _Linear2(*chain, index, chain[0] is ts.states)
         object.__setattr__(ts, "_twofold", lin)
     if not lin:
@@ -314,10 +315,7 @@ def linear2_ssp(ts: TransitionSystem) -> Linear2Verdict:
     if bad is not None:
         i, j = bad
         return Linear2Verdict(
-            holds=False,
-            witnesses=WitnessMap(ts, (), []),
-            counterexample=SeparationQuery.states(states[i], states[j]),
-        )
+            WitnessMap(ts, (), []), (SeparationQuery.states(states[i], states[j]),))
 
     # next_unique[k]: first position >= k with a globally unique event.
     next_unique = [n] * (n + 1)
@@ -339,7 +337,6 @@ def linear2_ssp(ts: TransitionSystem) -> Linear2Verdict:
             if res.region is not None:
                 regions.setdefault(res.region.mask, res.region)
     return Linear2Verdict(
-        holds=True,
-        witnesses=WitnessMap(ts, ("ssp",), list(regions.values())),
+        WitnessMap(ts, ("ssp",), list(regions.values())),
         separators=_Separators(ts, lin, next_unique, by_unique),
     )

@@ -18,9 +18,9 @@ from __future__ import annotations
 import time
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
-from .regions import Region, RegionConstraint, _positions, _same_system, solve_region
+from .regions import Region, RegionConstraint, _positions, _witness_regions, solve_region
 from .ts import _indexed
 
 __all__ = [
@@ -105,7 +105,7 @@ class WitnessMap(Mapping):
         idx = _indexed(self._sys)
         states = idx.states
         if "ssp" in self._kinds:
-            partition = _Partition(self._sys, idx)
+            partition = _Partition(idx)
             for i, s in enumerate(states):
                 later = partition.blocks[partition.block_of[i]] >> (i + 1) << (i + 1)
                 for j in _positions(idx, later):
@@ -120,7 +120,7 @@ class WitnessMap(Mapping):
         idx = _indexed(self._sys)
         count = 0
         if "ssp" in self._kinds:
-            blocks = _Partition(self._sys, idx).blocks
+            blocks = _Partition(idx).blocks
             count += sum(b.bit_count() * (b.bit_count() - 1) // 2 for b in blocks)
         if "essp" in self._kinds:
             count += sum(m.bit_count() for m in _essp_pending(idx))
@@ -129,12 +129,19 @@ class WitnessMap(Mapping):
 
 @dataclass
 class Verdict:
-    """Outcome of a property check with witnesses or a counterexample."""
+    """Outcome of a property check: the witnesses found and the failing
+    queries, in sweep order.  The property holds iff no query failed."""
 
-    holds: bool
     witnesses: WitnessMap
-    counterexample: Optional[SeparationQuery] = None
     failures: tuple[SeparationQuery, ...] = ()
+
+    @property
+    def holds(self) -> bool:
+        return not self.failures
+
+    @property
+    def counterexample(self) -> Optional[SeparationQuery]:
+        return self.failures[0] if self.failures else None
 
 
 def separable(sys, s: str, s2: str) -> Optional[Region]:
@@ -174,13 +181,13 @@ class _Deadline:
 
 
 class _Partition:
-    """The states of ``sys`` that no absorbed region separates yet, as the
+    """The states of a system that no absorbed region separates yet, as the
     blocks of a partition: one block per component at the start, numbered
-    as in ``idx``, the index of ``sys``, and refined by every region, so the
+    as in ``idx``, the system's index, and refined by every region, so the
     open pairs of a state are the other states of its block.
     """
 
-    def __init__(self, sys, idx):
+    def __init__(self, idx):
         self.block_of = list(idx.component)
         self.blocks = [0] * (max(self.block_of) + 1)
         for i, b in enumerate(self.block_of):
@@ -208,11 +215,11 @@ class _Partition:
             blocks.append(part)
 
 
-def _run_ssp(sys, deadline: _Deadline, regions: list[Region]):
-    """Cover all intra-component pairs; returns a counterexample or None."""
+def _run_ssp(sys, deadline: _Deadline, regions: list[Region]) -> list[SeparationQuery]:
+    """Cover all intra-component pairs; returns the failing pair, if any."""
     idx = _indexed(sys)
     n = len(idx.states)
-    partition = _Partition(sys, idx)
+    partition = _Partition(idx)
     blocks, block_of = partition.blocks, partition.block_of
     components = list(blocks)
 
@@ -234,11 +241,11 @@ def _run_ssp(sys, deadline: _Deadline, regions: list[Region]):
                 deadline=deadline,
             )
             if witness is None:
-                return SeparationQuery.states(idx.states[i], idx.states[j])
+                return [SeparationQuery.states(idx.states[i], idx.states[j])]
             regions.append(witness)
             partition.absorb(witness)
         deadline.checked += (components[idx.component[i]] & above).bit_count()
-    return None
+    return []
 
 
 def _essp_pending(idx) -> list[int]:
@@ -253,10 +260,11 @@ def _essp_pending(idx) -> list[int]:
     return pending
 
 
-def _absorb_cut(pending: list[int], mask: int, signs: dict[int, int]):
+def _absorb_cut(pending: list[int], region: Region):
     """Drop from ``pending`` the (event, state) queries a region answers:
     an exiting event is inhibited outside it, an entering one inside."""
-    for k, v in signs.items():
+    mask = region.mask
+    for k, v in region._cut_signs().items():
         if pending[k]:
             pending[k] &= mask if v < 0 else ~mask
 
@@ -267,12 +275,8 @@ def _run_essp(sys, deadline: _Deadline, regions: list[Region], exhaustive: bool)
     # pending[k]: states at which event k is not enabled and not yet inhibited.
     pending = _essp_pending(idx)
     deadline.total += sum(m.bit_count() for m in pending)
-
-    def absorb(region: Region):
-        _absorb_cut(pending, region.mask, region._cut_signs())
-
     for region in regions:
-        absorb(region)
+        _absorb_cut(pending, region)
 
     failures: list[SeparationQuery] = []
     for k, e in enumerate(idx.events):
@@ -293,23 +297,26 @@ def _run_essp(sys, deadline: _Deadline, regions: list[Region], exhaustive: bool)
                 deadline.checked += 1
                 continue
             regions.append(witness)
-            absorb(witness)
+            _absorb_cut(pending, witness)
             deadline.checked += 1
     return failures
 
 
+def _decide(sys, timeout, kinds: tuple[str, ...], exhaustive=False, seeds=()) -> Verdict:
+    """The one sweep behind every decider: the SSP sweep if ``kinds`` has
+    "ssp", then, unless it failed, the ESSP sweep if ``kinds`` has "essp",
+    both sharing the witnesses found so far, ``seeds`` first."""
+    deadline = _Deadline(timeout)
+    regions = list(_witness_regions(sys, seeds))
+    failures = _run_ssp(sys, deadline, regions) if "ssp" in kinds else []
+    if "essp" in kinds and not failures:
+        failures = _run_essp(sys, deadline, regions, exhaustive)
+    return Verdict(WitnessMap(sys, kinds, regions), tuple(failures))
+
+
 def has_ssp(sys, timeout: float | None = None) -> Verdict:
     """Decide the state separation property with attached witnesses."""
-    deadline = _Deadline(timeout)
-    regions: list[Region] = []
-    counterexample = _run_ssp(sys, deadline, regions)
-    witnesses = WitnessMap(sys, ("ssp",), regions)
-    return Verdict(
-        holds=counterexample is None,
-        witnesses=witnesses,
-        counterexample=counterexample,
-        failures=(counterexample,) if counterexample else (),
-    )
+    return _decide(sys, timeout, ("ssp",))
 
 
 def has_essp(
@@ -322,58 +329,15 @@ def has_essp(
 
     With ``exhaustive`` the verdict collects every failing query instead of
     stopping at the first.  ``seed_regions`` primes the witness cache, e.g.
-    with regions found by a preceding SSP run.
+    with regions found by a preceding SSP run; each must be a region of
+    ``sys`` (``ValueError`` otherwise).
     """
-    deadline = _Deadline(timeout)
-    regions = []
-    same = _same_system(sys)
-    for region in seed_regions:
-        if not same(region.system):
-            raise ValueError("seed region does not belong to the checked system")
-        region._cut_signs()  # raises ValueError unless the mask is a region of sys
-        regions.append(region)
-    failures = _run_essp(sys, deadline, regions, exhaustive)
-    witnesses = WitnessMap(sys, ("essp",), regions)
-    return Verdict(
-        holds=not failures,
-        witnesses=witnesses,
-        counterexample=failures[0] if failures else None,
-        failures=tuple(failures),
-    )
+    return _decide(sys, timeout, ("essp",), exhaustive, seed_regions)
 
 
 def is_feasible(sys, timeout: float | None = None) -> Verdict:
     """SSP and ESSP conjoined; witnesses are shared between the two runs."""
-    deadline = _Deadline(timeout)
-    regions: list[Region] = []
-    counterexample = _run_ssp(sys, deadline, regions)
-    if counterexample is not None:
-        return Verdict(
-            holds=False,
-            witnesses=WitnessMap(sys, ("ssp", "essp"), regions),
-            counterexample=counterexample,
-            failures=(counterexample,),
-        )
-    failures = _run_essp(sys, deadline, regions, exhaustive=False)
-    return Verdict(
-        holds=not failures,
-        witnesses=WitnessMap(sys, ("ssp", "essp"), regions),
-        counterexample=failures[0] if failures else None,
-        failures=tuple(failures),
-    )
-
-
-def _witness_regions(sys, regions) -> Iterator[Region]:
-    """The regions of a witness set, which must all be regions of ``sys``;
-    each leaves with its cut signs computed."""
-    same = _same_system(sys)
-    for region in regions:
-        if not isinstance(region, Region):
-            raise ValueError("witness sets contain Region values")
-        if not same(region.system):
-            raise ValueError("region does not belong to the checked system")
-        region._cut_signs()  # raises ValueError unless the mask is a region
-        yield region
+    return _decide(sys, timeout, ("ssp", "essp"))
 
 
 def is_ssp_witness(sys, regions: Iterable[Region]) -> bool:
@@ -382,7 +346,7 @@ def is_ssp_witness(sys, regions: Iterable[Region]) -> bool:
     The regions refine the partition of :func:`has_ssp`'s sweep; the set is
     a witness iff every block ends up a single state.
     """
-    partition = _Partition(sys, _indexed(sys))
+    partition = _Partition(_indexed(sys))
     for region in _witness_regions(sys, regions):
         partition.absorb(region)
     return all(b & (b - 1) == 0 for b in partition.blocks)
@@ -396,5 +360,5 @@ def is_essp_witness(sys, regions: Iterable[Region]) -> bool:
     """
     pending = _essp_pending(_indexed(sys))
     for region in _witness_regions(sys, regions):
-        _absorb_cut(pending, region.mask, region._cut_signs())
+        _absorb_cut(pending, region)
     return not any(pending)

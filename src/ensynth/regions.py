@@ -37,7 +37,7 @@ from __future__ import annotations
 from collections import deque
 from heapq import heappop, heappush
 from itertools import compress
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .ts import _Index, _indexed, _linear_chain
 
@@ -111,22 +111,23 @@ def _positions(idx: _Index, mask: int) -> tuple[int, ...]:
     return tuple(compress(idx.positions, digits))
 
 
-def _same_system(sys) -> Callable[[object], bool]:
-    """A test of whether a region's system is ``sys`` that compares each
-    distinct system object once.  Comparing an equal system that is another
-    object costs O(|S| + |E|), and the regions of a witness set share a
-    few system objects between them."""
+def _witness_regions(sys, regions) -> Iterator[Region]:
+    """The given regions, each checked to be a region of ``sys`` (else
+    ``ValueError``) and left with its cut signs computed.  Whether a
+    region's system is ``sys`` is decided once per distinct system object:
+    comparing an equal system that is another object costs O(|S| + |E|),
+    and the regions of a witness set share a few system objects."""
     known = {id(sys): sys}  # holding each object keeps its id from reuse
-
-    def same(system) -> bool:
-        if id(system) in known:
-            return True
-        if system != sys:
-            return False
-        known[id(system)] = system
-        return True
-
-    return same
+    for region in regions:
+        if not isinstance(region, Region):
+            raise ValueError("witness sets contain Region values")
+        system = region.system
+        if id(system) not in known:
+            if system != sys:
+                raise ValueError("region does not belong to the checked system")
+            known[id(system)] = system
+        region._cut_signs()  # raises ValueError unless the mask is a region
+        yield region
 
 
 class Region:

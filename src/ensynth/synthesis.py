@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .regions import Region, _same_system
+from .regions import Region, _witness_regions
 from .ts import (
     Edge,
     ParseError,
@@ -113,12 +113,7 @@ def synthesize(ts: TransitionSystem, regions: Sequence[Region]) -> ElementaryNet
     e exits the region, (e, p) iff e enters it; p is initially marked iff
     the region contains the initial state.
     """
-    same = _same_system(ts)
-    for region in regions:
-        if not isinstance(region, Region):
-            raise ValueError("synthesize expects Region witnesses")
-        if not same(region.system):
-            raise ValueError("witness region does not belong to the input TS")
+    regions = list(_witness_regions(ts, regions))
     places = tuple(f"p{i}" for i in range(len(regions)))
     flows: set[tuple[str, str]] = set()
     marked: set[str] = set()

@@ -395,8 +395,9 @@ def parse_ts(text: str) -> TransitionSystem:
 
     Grammar: a ``.ts`` header, exactly one ``initial <state>`` line, zero or
     more ``edge <source> <event> <target>`` lines, optional ``event <name>``
-    forced declarations, ``#`` comments.  States and events are declared by
-    first use.
+    forced declarations, ``#`` comments.  The initial state is declared
+    first, wherever its line stands; other states and events are declared
+    by first use.
     """
     lines = list(_content_lines(text))
     if not lines:
@@ -417,7 +418,6 @@ def parse_ts(text: str) -> TransitionSystem:
             if initial is not None:
                 raise ParseError("duplicate initial declaration", number)
             initial = _check_identifier(fields[1], number)
-            states.setdefault(initial, None)
         elif fields[0] == "event":
             if len(fields) != 2:
                 raise ParseError("event takes exactly one name", number)
@@ -434,7 +434,7 @@ def parse_ts(text: str) -> TransitionSystem:
             raise ParseError(f"unknown directive {fields[0]!r}", number)
     if initial is None:
         raise ParseError("missing initial declaration")
-    return TransitionSystem(states, events, initial, edges)
+    return TransitionSystem({initial: None, **states}, events, initial, edges)
 
 
 def serialize_ts(ts: TransitionSystem) -> str:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .regions import Region, _same_system
+from .regions import Region, _witness_regions
 from .ts import (
     Edge, ParseError, TransitionSystem, _content_lines, _linear_chain, _System, classify,
     parse_ts, serialize_ts,
@@ -177,8 +177,7 @@ def lift_region(
     (signature +1), and empty when no such edge exists.  The extended
     region keeps the original signature on all old events.
     """
-    if not _same_system(union)(region.system):
-        raise ValueError("region does not belong to the given union")
+    (region,) = _witness_regions(union, [region])
     sig = region.signature
     members = list(region.members)
     for comp in extras:

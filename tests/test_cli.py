@@ -15,7 +15,7 @@ from ensynth.synthesis import ElementaryNetSystem, synthesize
 from ensynth.ts import TransitionSystem, serialize_ts
 from ensynth.unions import join, serialize_union
 
-from corpus import PHI1, PHI6, master
+from corpus import PHI1, PHI4, PHI6, master
 
 MASTER_TS = serialize_ts(master())
 ABAB_TS = serialize_ts(TransitionSystem.chain(["a", "b", "a", "b"]))
@@ -397,3 +397,62 @@ def test_unwritable_out_exits_2(files, capsys):
     assert run(["reduce", "--construction", "linear3-essp",
                 "--in", str(files / "phi6.cnf3"), "--out", taken]) == 2
     assert capsys.readouterr().err == f"error: cannot write {taken}: File exists\n"
+
+
+# SHA-256 and exit code of check-ssp and check-essp, recorded before the
+# three check commands shared one handler: holding and failing inputs, text
+# and JSON, every counterexample of a failing ESSP, and a .union input.
+CHECK_GOLDEN = {
+    ("check-ssp", "phi1.ts"):
+        (0, "55e74c1875edf340a5c52f5279e726cb18d0ba54b1e73ddc6da98e1e8c5b3c1a"),
+    ("check-ssp", "phi1.ts", "--format", "json"):
+        (0, "8710ab4fb68d096a0de90311b7c89c3cc0d74b02bd212d29b2ceb1787161456b"),
+    ("check-ssp", "phi1.ts", "--verbose-witnesses"):
+        (0, "f71f0e5021af3ab0c8483931a512455e34225d69383a276eb5d28e8a98265503"),
+    ("check-ssp", "phi1.union", "--format", "json"):
+        (0, "321bfc91e37867f70d014faead051e5ce460e728406241c5d74c8c0a05aa3c4c"),
+    ("check-ssp", "abab.ts"):
+        (1, "ee588b23b8c8f902d6b3393b631cc5b228536d16e0d9821055757458ebd620be"),
+    ("check-ssp", "abab.ts", "--format", "json", "--exhaustive-counterexamples"):
+        (1, "eeae047f26a167d6806ffbae98b54be93896cf87ff2c94eaae96aeecf1f5a28a"),
+    ("check-essp", "phi1.ts", "--format", "json"):
+        (0, "5c8dca916bd2cc5e8e5e0635a5b4700a0aa1956eab8bd1639e3b1961b6f81119"),
+    ("check-essp", "phi1.ts", "--verbose-witnesses"):
+        (0, "87241c0a47257a2be27f1e3e3ab4e92acfcaf2d4d5fee13ce4c9152fcf88b8eb"),
+    ("check-essp", "phi1.union", "--format", "json"):
+        (0, "3c5506e674f18e886b1c47bba697829dcf1d9daee4ced5f898a8153d957b6c71"),
+    ("check-essp", "abba.ts"):
+        (1, "2d5801397e65365f5b47a4c80994e06ebfa341d6ece72a8306e46ba92dd2a6c3"),
+    ("check-essp", "abba.ts", "--exhaustive-counterexamples"):
+        (1, "0852026a042cbb35209af1ad3ce1297c8c4004d8b081e2aa3c1474edf6b66dee"),
+    ("check-essp", "abba.ts", "--format", "json", "--exhaustive-counterexamples"):
+        (1, "e2e8d40fb2e03ac82082d59929d8729d8641933103117c97446051859e97994e"),
+    ("check-essp", "phi4.ts", "--format", "json", "--exhaustive-counterexamples"):
+        (1, "963b4b62bd46820107eb4f442dd30d2d2aee895ea359f9644f65475b1463d943"),
+}
+
+
+def test_check_ssp_and_essp_outputs_are_pinned(files, capsys):
+    phi1 = build_linear3_essp(CubicMonotoneFormula(PHI1, check=False))
+    phi4 = build_linear3_essp(CubicMonotoneFormula(PHI4))
+    (files / "phi1.ts").write_text(serialize_ts(join(phi1.union, phi1.join_plan)))
+    (files / "phi1.union").write_text(serialize_union(phi1.union, phi1.join_plan))
+    (files / "phi4.ts").write_text(serialize_ts(join(phi4.union, phi4.join_plan)))
+    (files / "abba.ts").write_text(serialize_ts(TransitionSystem.chain(["a", "b", "b", "a"])))
+    for (command, name, *flags), (code, digest) in CHECK_GOLDEN.items():
+        assert run([*flags, command, str(files / name)]) == code, (command, name, flags)
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (command, name, flags)
+
+
+def test_synthesize_feasible_timeout_exits_3(files, capsys):
+    """The timeout of the feasibility run behind ``synthesize --witness
+    feasible`` is reported like a check command's, not as a traceback."""
+    instance = build_linear3_essp(CubicMonotoneFormula(PHI6))
+    (files / "phi6.ts").write_text(serialize_ts(join(instance.union, instance.join_plan)))
+    code = run(["--timeout", "0.000001", "synthesize", "--witness", "feasible",
+                str(files / "phi6.ts")])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "timeout: 0 of 522753 queries checked\n"

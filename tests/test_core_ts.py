@@ -271,3 +271,11 @@ def test_serialize_round_trips_exactly_the_first_use_state_order(seed, n_states)
     else:
         with pytest.raises(ValueError, match="unserializable state order"):
             serialize_ts(shuffled)
+
+
+def test_initial_state_is_declared_first_wherever_its_line_stands():
+    ts = parse_ts(".ts\nedge a x b\ninitial b\n")
+    assert ts.states == ("b", "a")
+    text = serialize_ts(ts)
+    assert text == ".ts\ninitial b\nedge a x b\n"
+    assert parse_ts(text) == ts

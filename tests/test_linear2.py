@@ -16,6 +16,7 @@ from ensynth.linear2 import (
 )
 from ensynth.regions import aggregate_signature, check_region, enumerate_regions
 from ensynth.ts import TransitionSystem, _linear_chain
+from ensynth.unions import make_union
 
 from conftest import brute_ssp
 from corpus import linear2_words, reversed_declaration
@@ -383,3 +384,16 @@ def test_lazy_route_matches_the_eager_reference(word, backwards):
     for i in range(n + 1):
         for j in range(i + 1, n + 1):
             assert as_triple(separator(ts, i, j)) == reference_separator(ts, i, j)
+
+
+def test_every_entry_point_refuses_a_union():
+    """A union has no ``_twofold`` slot; the entry points refuse it as not
+    linear before reading one."""
+    union = make_union([TransitionSystem.chain(["x", "y"], prefix="a"),
+                        TransitionSystem.chain(["y"], prefix="b")])
+    for call in (lambda: linear2_ssp(union),
+                 lambda: find_exact_2fold_subsequence(union),
+                 lambda: second_occurrence_index(union),
+                 lambda: separator(union, 0, 1)):
+        with pytest.raises(ValueError, match="expected a linear 2-fold transition system"):
+            call()

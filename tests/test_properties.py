@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 import ensynth
+from ensynth import cli, properties
+from ensynth.linear2 import linear2_ssp
 from ensynth.properties import (
     SeparationQuery,
     TimeoutExceeded,
@@ -277,3 +279,60 @@ def test_non_region_seed_is_refused_with_and_without_asserts(flags):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "ValueError: membership set is not a region of the system\n" * 2
+
+
+def _deciders():
+    """Each decider with an input on which it holds and one on which it fails."""
+    abab = TransitionSystem.chain(["a", "b", "a", "b"])
+    abba = TransitionSystem.chain(["a", "b", "b", "a"])
+    ab = TransitionSystem.chain(["a", "b"])
+    return [
+        (has_ssp, ab, abab),
+        (has_essp, ab, abba),
+        (lambda ts: has_essp(ts, exhaustive=True), ab, abba),
+        (is_feasible, ab, abab),
+        (is_feasible, ab, abba),
+        (linear2_ssp, ab, abab),
+    ]
+
+
+@pytest.mark.parametrize("decide, good, bad", _deciders())
+def test_holds_and_counterexample_derive_from_failures(decide, good, bad):
+    for ts, expected in ((good, True), (bad, False)):
+        verdict = decide(ts)
+        assert verdict.holds is expected
+        assert verdict.holds == (not verdict.failures)
+        assert verdict.counterexample == (
+            verdict.failures[0] if verdict.failures else None)
+
+
+def test_a_seed_that_is_not_a_region_is_refused(master):
+    with pytest.raises(ValueError, match="witness sets contain Region values"):
+        has_essp(master, seed_regions=[object()])
+
+
+def test_checks_call_the_deciders_through_module_globals(master, tmp_path, monkeypatch):
+    """A rebound ``cli.has_ssp``, ``cli.has_essp``, ``cli.is_feasible`` and
+    ``properties.solve_region`` is the one that runs: the benchmark's
+    tracer counts calls by rebinding these names."""
+    calls = {}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("has_ssp", "has_essp", "is_feasible"):
+        counting(cli, name)
+    counting(properties, "solve_region")
+    path = tmp_path / "master.ts"
+    path.write_text(serialize_ts(master))
+    for command in ("check-ssp", "check-essp", "check-feasible"):
+        assert cli.run([command, str(path)]) == 0
+    assert {k: calls[k] for k in ("has_ssp", "has_essp", "is_feasible")} == {
+        "has_ssp": 1, "has_essp": 1, "is_feasible": 1}
+    assert calls["solve_region"] > 0

@@ -144,7 +144,7 @@ def test_partition_split_matches_the_byte_path(sys_obj, rnd):
     n = len(idx.states)
     regions = list(_checked_regions(sys_obj))
     rnd.shuffle(regions)
-    new, old = _Partition(sys_obj, idx), _Partition(sys_obj, idx)
+    new, old = _Partition(idx), _Partition(idx)
     for region in regions:
         new.absorb(region)
         reference_absorb(old, region.mask, _bits(region.mask, n))
