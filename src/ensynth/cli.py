@@ -133,7 +133,7 @@ _CHECKS = {
     "check-essp": ("ESSP", lambda sys_obj, args: has_essp(
         sys_obj, timeout=args.timeout, exhaustive=args.exhaustive_counterexamples)),
     "check-feasible": ("feasibility", lambda sys_obj, args: is_feasible(
-        sys_obj, timeout=args.timeout)),
+        sys_obj, timeout=args.timeout, exhaustive=args.exhaustive_counterexamples)),
 }
 
 
@@ -150,12 +150,10 @@ def _cmd_check(args) -> int:
         if args.verbose_witnesses:
             lines.extend(format_region(r) for r in regions)
     else:
-        failures = verdict.failures if args.exhaustive_counterexamples else (
-            verdict.counterexample,)
         payload["counterexamples"] = [
-            {"kind": q.kind, "a": q.a, "b": q.b} for q in failures
+            {"kind": q.kind, "a": q.a, "b": q.b} for q in verdict.failures
         ]
-        lines.extend(f"counterexample: {q}" for q in failures)
+        lines.extend(f"counterexample: {q}" for q in verdict.failures)
     _emit(args, payload, lines)
     return 0 if verdict.holds else 1
 

@@ -335,9 +335,10 @@ def has_essp(
     return _decide(sys, timeout, ("essp",), exhaustive, seed_regions)
 
 
-def is_feasible(sys, timeout: float | None = None) -> Verdict:
-    """SSP and ESSP conjoined; witnesses are shared between the two runs."""
-    return _decide(sys, timeout, ("ssp", "essp"))
+def is_feasible(sys, timeout: float | None = None, exhaustive: bool = False) -> Verdict:
+    """SSP and ESSP conjoined; witnesses are shared between the two runs.
+    ``exhaustive`` is :func:`has_essp`'s; a failing SSP sweep stops."""
+    return _decide(sys, timeout, ("ssp", "essp"), exhaustive)
 
 
 def is_ssp_witness(sys, regions: Iterable[Region]) -> bool:

@@ -26,10 +26,12 @@ The system (a :class:`~ensynth.ts.TransitionSystem` or a
 owns one integer index, which ``ts`` defines and builds on first use for
 every layer.  Full domains are arc-consistent, so the propagation queue
 is seeded from the constraint only, and the search undoes a branch
-through a trail of changed values instead of copying the domains at
+through a trail of domain changes instead of copying the domains at
 every frame.  The queue takes an edge only when its revision can narrow
 a domain: at most once, never by its own revision, and not while it is
-open (both ends undecided) and its event may still obey (sig = 0).
+open (both ends undecided) and its event may still obey (sig = 0).  The
+same kernel descends, branching at each closure on the smallest open event
+of the cone, which it reads from the domains.
 """
 
 from __future__ import annotations
@@ -339,9 +341,16 @@ class _Solver:
     any membership difference, so such edges never constrain anything and
     their signature is derived from the solution afterwards.
 
-    Every domain change, touched flag and heap pop is recorded on a trail
-    as (array, position, old value), or (None, event, 0) for a pop, so a
-    branch is undone by replaying the trail back to the frame's mark.
+    The trail holds domain changes only, each as (array, position, old
+    value), so a branch is undone by replaying it back to the frame's mark.
+    The constraint's cone of influence is read from the domains: at every
+    closure an event is in the cone iff its signature domain is narrowed
+    (``sig != 0b111``), since a decided end of an active edge rules out one
+    of -1 and +1 and a narrowed domain never widens.  The cone's open
+    events wait on a min-heap by declaration order, with lazy deletion.
+    Generated gadget unions declare events in chain order, so branching on
+    them first keeps conflicting choices chronologically close and stops
+    local conflicts from being re-proved under unrelated assignments.
     """
 
     def __init__(self, sys, constraint: RegionConstraint, deadline=None):
@@ -362,6 +371,10 @@ class _Solver:
         # extra last flag belongs to the assignment that starts a drain.
         self.queued = bytearray(len(idx.esrc) + 1)
         self.trail: list[tuple] = []
+        self.heap: list[int] = []
+        # The search's frames, [trail mark, kind, var, values, next value
+        # index]; ``None`` while seeding, which so stops at closure.
+        self.stack: Optional[list[list]] = None
 
         # Events eligible for branching: repeated events and pinned ones.
         self.active = bytearray(idx.active)
@@ -372,14 +385,6 @@ class _Solver:
                 self.branchable[e] = 1
                 for eid in idx.event_edges[e]:
                     self.active[eid] = 1
-        # `touched` tracks the constraint's cone of influence; touched events
-        # are branched first, ordered by declaration (a min-heap with lazy
-        # deletion).  Generated gadget unions declare events in chain
-        # order, so this keeps conflicting choices chronologically close
-        # and stops local conflicts from being re-proved under unrelated
-        # assignments.
-        self.touched = bytearray(len(idx.events))
-        self.touch_heap: list[int] = []
 
         self.failed = False
         try:
@@ -393,18 +398,19 @@ class _Solver:
         except _Unsatisfiable:
             self.failed = True
 
-    # -- propagation ----------------------------------------------------
+    # -- propagation and descent -----------------------------------------
 
     def _propagate(self, kind: str, var: int, bits: int):
-        """Restrict one state's or event's domain to ``bits`` and close the
-        edge equations R(t) = R(s) + sig(e) under arc consistency.
+        """Restrict one state's or event's domain to ``bits``, close the
+        edge equations R(t) = R(s) + sig(e) under arc consistency and,
+        during the search, descend into the cone.
 
-        The one propagation kernel, for the constraint and for every branch.
+        The one search kernel, for the constraint and for every branch.
         The assignment enters the loop as if a revision of a sentinel edge
         had made it, so every change, the assignment's and each revision's,
         goes through the same queue rule.  Every edge outside the queue is
         consistent with the current domains, and a change queues only the
-        edges whose revision it can narrow:
+        edges whose revision can narrow a domain:
 
         * an edge is queued at most once (its ``queued`` flag);
         * a revision never queues its own edge, which stays flagged while
@@ -413,18 +419,23 @@ class _Solver:
           ends are both undecided: their revision is a no-op, and a change
           at either end queues them.
 
-        A changed domain is trailed and touches its event, or the events of
-        the active edges at its state.  The queue and every flag are clear
-        on return and on ``_Unsatisfiable``.
+        A changed domain is trailed; an event domain that narrows from
+        ``0b111`` to an open one joins the heap of the cone.  While the
+        search runs (``stack`` is set), each closure picks the smallest
+        event of the cone whose domain is still open, pushes its frame and
+        applies its first value as the next sentinel assignment.  The
+        kernel returns once no open event is left in the cone, and raises
+        ``_Unsatisfiable`` on a conflict.  The queue and every flag are
+        clear on return and on ``_Unsatisfiable``.
         """
         idx = self.idx
         esrc, eev, edst = idx.esrc, idx.eev, idx.edst
         state_edges, event_edges = idx.state_edges, idx.event_edges
-        mem, sig, touched, active = self.mem, self.sig, self.touched, self.active
-        branchable, heap = self.branchable, self.touch_heap
+        mem, sig, active = self.mem, self.sig, self.active
+        heap, stack, trail, deadline = self.heap, self.stack, self.trail, self.deadline
         queue, queued = self.queue, self.queued
-        pop, push, log = queue.popleft, queue.append, self.trail.append
-        eid = len(queued) - 1
+        pop, push, log = queue.popleft, queue.append, trail.append
+        sentinel = eid = len(queued) - 1
         if kind == "event":
             e, mg = var, sig[var]
             ng = mg & bits
@@ -440,11 +451,8 @@ class _Solver:
                 if ng != mg:
                     log((sig, e, mg))
                     sig[e] = ng
-                    if not touched[e]:
-                        touched[e] = 1
-                        log((touched, e, 0))
-                        if branchable[e] and ng & (ng - 1):
-                            heappush(heap, e)
+                    if mg == _SIG_ALL and ng & (ng - 1):
+                        heappush(heap, e)
                     # Only events with active edges get here, and all their
                     # edges are.
                     if ng & 0b010:  # skip the open edges
@@ -468,27 +476,36 @@ class _Solver:
                     log((mem, x, old))
                     mem[x] = n
                     for y in state_edges[x]:
-                        if active[y]:
-                            ev = eev[y]
-                            if not touched[ev]:
-                                touched[ev] = 1
-                                log((touched, ev, 0))
-                                d = sig[ev]
-                                if branchable[ev] and d & (d - 1):
-                                    heappush(heap, ev)
-                            if not queued[y]:
-                                queued[y] = 1
-                                push(y)
+                        if active[y] and not queued[y]:
+                            queued[y] = 1
+                            push(y)
                 queued[eid] = 0
-                if not queue:
+                if queue:
+                    eid = pop()
+                    s, e, t = esrc[eid], eev[eid], edst[eid]
+                    mg = sig[e]
+                    revised = _REVISE[mem[s] | mg << 2 | mem[t] << 5]
+                    if revised is None:
+                        raise _Unsatisfiable
+                    ng, ends = revised
+                    continue
+                if stack is None:
                     return
-                eid = pop()
-                s, e, t = esrc[eid], eev[eid], edst[eid]
-                mg = sig[e]
-                revised = _REVISE[mem[s] | mg << 2 | mem[t] << 5]
-                if revised is None:
-                    raise _Unsatisfiable
-                ng, ends = revised
+                # Closure: drop the heap's entries that left the cone or
+                # were decided, and branch on the smallest open one.
+                while heap:
+                    e = heap[0]
+                    mg = sig[e]
+                    if mg != _SIG_ALL and mg & (mg - 1):
+                        break
+                    heappop(heap)
+                else:
+                    return
+                values = _EVENT_VALUES[mg]
+                stack.append([len(trail), "event", e, values, 1])
+                if deadline is not None:
+                    deadline.check()
+                eid, ng, ends = sentinel, values[0], ()
         except _Unsatisfiable:
             queued[eid] = 0
             for x in queue:
@@ -497,35 +514,17 @@ class _Solver:
             raise
 
     def _undo(self, mark: int):
-        trail, heap = self.trail, self.touch_heap
+        """Replay the trail back to ``mark``.  An event whose restored
+        domain is open and narrowed goes back on the heap, where the
+        closure may have dropped it decided; a duplicate is harmless."""
+        trail, heap, sig = self.trail, self.heap, self.sig
         while len(trail) > mark:
             array, pos, old = trail.pop()
-            if array is None:
+            array[pos] = old
+            if array is sig and old != _SIG_ALL and old & (old - 1):
                 heappush(heap, pos)
-            else:
-                array[pos] = old
 
     # -- search ---------------------------------------------------------
-
-    def _pick_touched(self) -> Optional[int]:
-        """Smallest touched event whose domain still has more than one value.
-
-        An event is touched when its own domain is restricted or an incident
-        state got decided; branching those first keeps search inside the
-        constraint's cone of influence.  Heap entries of events untouched
-        by an undo are dropped; popped decided events go on the trail so an
-        undo that reopens their domain restores them.
-        """
-        heap, sig, touched = self.touch_heap, self.sig, self.touched
-        while heap:
-            e = heap[0]
-            if touched[e]:
-                d = sig[e]
-                if d & (d - 1):
-                    return e
-                self.trail.append((None, e, 0))
-            heappop(heap)
-        return None
 
     def _pick_free(self):
         """Branch variable outside the cone: free events, then states."""
@@ -559,56 +558,57 @@ class _Solver:
         return Region(self.sys, mask, tuple(members))
 
     def solutions(self, limit=None, first_only=False):
-        """DFS over branch choices; yields regions deterministically.
+        """DFS over branch choices; yields at most ``limit`` regions,
+        deterministically.
 
-        With ``first_only`` the search stops once no touched event is left
-        to branch on: everything outside the cone of influence is free, and
-        the all-zero extension (undecided states outside, undecided events
-        obeying) is a solution.
+        The kernel descends through the cone; this loop backtracks, tries
+        each frame's next value and, outside the cone, branches on free
+        variables.  With ``first_only`` the search stops once no event of
+        the cone is open: everything outside it is free, and the all-zero
+        extension (undecided states outside, undecided events obeying) is
+        a solution.
         """
-        if self.failed:
+        if limit is not None and limit < 0:
+            raise ValueError(f"limit must be non-negative, got {limit}")
+        if self.failed or limit == 0:
             return
         count = 0
-        deadline, trail, sig = self.deadline, self.trail, self.sig
-        # Frame: [trail mark, kind, var, values, next value index]
-        stack: list[list] = []
+        deadline, trail = self.deadline, self.trail
+        self.stack = stack = []
+        # Restricting a domain to all of its values changes nothing: the
+        # first step only descends from the seeded closure.
+        kind, var, bits = "state", 0, _MEM_ALL
         while True:
-            e = self._pick_touched()
-            if e is not None:
-                stack.append([len(trail), "event", e, _EVENT_VALUES[sig[e]], 0])
-            elif first_only:
-                yield self._solution()
-                return
+            try:
+                self._propagate(kind, var, bits)
+            except _Unsatisfiable:
+                pass
             else:
-                pick = self._pick_free()
+                pick = None if first_only else self._pick_free()
                 if pick is None:
                     yield self._solution()
                     count += 1
-                    if limit is not None and count >= limit:
+                    if first_only or count == limit:
                         return
                 else:
                     kind, var = pick
-                    values = _EVENT_VALUES[sig[var]] if kind == "event" else _STATE_VALUES
+                    values = _EVENT_VALUES[self.sig[var]] if kind == "event" else _STATE_VALUES
                     stack.append([len(trail), kind, var, values, 0])
             # Take the next untried value of the deepest frame.
             while stack:
                 frame = stack[-1]
                 mark, kind, var, values, i = frame
-                if i == len(values):
-                    stack.pop()
-                    continue
-                frame[4] = i + 1
-                if deadline is not None:
-                    deadline.check()
-                if len(trail) > mark:
-                    self._undo(mark)
-                try:
-                    self._propagate(kind, var, values[i])
-                except _Unsatisfiable:
-                    continue
-                break
+                if i < len(values):
+                    break
+                stack.pop()
             else:
                 return
+            frame[4] = i + 1
+            if deadline is not None:
+                deadline.check()
+            if len(trail) > mark:
+                self._undo(mark)
+            bits = values[i]
 
 
 def _as_constraint(constraint) -> RegionConstraint:
@@ -636,7 +636,8 @@ def solve_region(
 def solve_all_regions(
     sys, constraint: RegionConstraint | None = None, limit: int | None = None
 ) -> list[Region]:
-    """All regions satisfying the constraint, deterministically ordered."""
+    """All regions satisfying the constraint, deterministically ordered;
+    the first ``limit`` of them if given (``ValueError`` if negative)."""
     solver = _Solver(sys, _as_constraint(constraint))
     return list(solver.solutions(limit=limit))
 

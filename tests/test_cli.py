@@ -9,7 +9,7 @@ import pytest
 
 import ensynth
 from ensynth.cli import export_dot, run
-from ensynth.reductions import CubicMonotoneFormula, build_linear3_essp
+from ensynth.reductions import CubicMonotoneFormula, build_2grade2_essp, build_linear3_essp
 from ensynth.regions import Region, enumerate_regions
 from ensynth.synthesis import ElementaryNetSystem, synthesize
 from ensynth.ts import TransitionSystem, serialize_ts
@@ -63,6 +63,23 @@ def test_check_feasible_master(files, capsys):
 def test_check_ssp_counterexample(files, capsys):
     assert run(["check-ssp", str(files / "abab.ts")]) == 1
     assert "counterexample" in capsys.readouterr().out
+
+
+def test_check_feasible_reports_every_essp_counterexample(files, capsys):
+    """Where SSP holds, check-feasible --exhaustive-counterexamples reports
+    the failing ESSP queries that check-essp reports, and without the flag
+    only the first."""
+    (files / "chain.ts").write_text(
+        serialize_ts(TransitionSystem.chain(["e1", "e0", "e1", "e2", "e0"])))
+    outputs = {}
+    for command in ("check-essp", "check-feasible"):
+        for flags in ((), ("--exhaustive-counterexamples",)):
+            assert run([*flags, command, str(files / "chain.ts")]) == 1
+            outputs[command, flags] = capsys.readouterr().out.splitlines()[1:]
+    both = ["counterexample: event e1 at state s5", "counterexample: event e2 at state s2"]
+    for command in ("check-essp", "check-feasible"):
+        assert outputs[command, ("--exhaustive-counterexamples",)] == both
+        assert outputs[command, ()] == both[:1]
 
 
 def test_linear2_ssp_cli(files, capsys):
@@ -443,6 +460,24 @@ def test_check_ssp_and_essp_outputs_are_pinned(files, capsys):
         assert run([*flags, command, str(files / name)]) == code, (command, name, flags)
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest, (command, name, flags)
+
+
+# SHA-256 and exit code of check-ssp --format json on the joined
+# 2grade2-essp instance of PHI4 (1024 states, 341 witnesses), recorded
+# before the solver branched inside its propagation kernel: the solves of
+# a 2grade2 instance are bound by search, not by propagation.
+G2_GOLDEN = (0, "1b330e7d9469a6e616e015c3fed028335bf752ab04e2c7c23100d39a2451dcca")
+
+
+def test_check_ssp_output_is_pinned_on_a_2grade2_instance(files, capsys):
+    instance = build_2grade2_essp(CubicMonotoneFormula(PHI4))
+    joined = join(instance.union, instance.join_plan)
+    assert len(joined.states) == 1024
+    (files / "g2.ts").write_text(serialize_ts(joined))
+    code = run(["--format", "json", "check-ssp", str(files / "g2.ts")])
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == G2_GOLDEN
+    assert len(json.loads(out)["witnesses"]) == 341
 
 
 def test_synthesize_feasible_timeout_exits_3(files, capsys):

@@ -141,6 +141,16 @@ def test_solve_all_limit(master):
     assert len(solve_all_regions(master, limit=None)) == 30
 
 
+def test_solve_all_limit_zero_and_negative():
+    ts = TransitionSystem.chain(["a", "b", "a"])
+    every = solve_all_regions(ts)
+    assert len(every) == 6
+    for limit in range(7):
+        assert solve_all_regions(ts, limit=limit) == every[:limit]
+    with pytest.raises(ValueError, match="limit"):
+        solve_all_regions(ts, limit=-1)
+
+
 def test_solutions_deterministic(master):
     a = [r.mask for r in solve_all_regions(master)]
     b = [r.mask for r in solve_all_regions(master)]

@@ -1,18 +1,22 @@
 """Differential tests of the solver's propagation kernel.
 
 The solver closes the edge equations with one kernel, ``_Solver._propagate``,
-that queues an edge only when its revision can narrow a domain.  The
+that queues an edge only when its revision can narrow a domain and that
+branches inside its loop, on the cone it reads from the domains.  The
 reference below is the earlier solver, kept whole: ``_set_mem``, ``_set_sig``
 and ``_touch`` made each change, and a change queued every active edge at
 the state, or every edge of the event, the revised edge itself included.
 Arc-consistency closure is confluent, so after seeding both hold the same
-domains and the same touched events, and the search, which reads only those,
-yields the same regions in the same order.
+domains, and the reference's touched events are exactly the events whose
+signature domain is narrowed, which is where the kernel reads the cone.  The
+search reads only those, so it takes the reference's branches in its order
+and yields the same regions in the same order.
 
 Random deterministic systems and two-component unions of at most 12 states,
 some with an edgeless event and some with self-loops (R(s) = R(s) +
 sig(e)), are checked under random constraints.  Fixed instances cover a
-solve that backtracks and both ways ``_solution`` reads the members.
+solve that backtracks, an event that backtracking reopens, and both ways
+``_solution`` reads the members.
 """
 
 import random
@@ -23,6 +27,7 @@ from typing import Optional
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ensynth import regions
 from ensynth.regions import (
     _MEM_ALL, _MEMBER_DIGITS, _SIG_BIT, Region, RegionConstraint, _indexed, _revise,
     _Solver, _Unsatisfiable, solve_all_regions, solve_region,
@@ -329,7 +334,7 @@ def test_seeding_matches_the_reference(sys_obj, data):
     if not solver.failed:  # a failed seeding stops wherever it found the conflict
         assert solver.mem == reference.mem
         assert solver.sig == reference.sig
-        assert solver.touched == reference.touched
+        assert bytearray(d != 0b111 for d in solver.sig) == reference.touched
     assert not solver.queue and not any(solver.queued)
 
 
@@ -348,6 +353,117 @@ def test_solve_all_regions_matches_the_reference(sys_obj, data):
     constraint = _constraint(data, sys_obj)
     expected = list(ReferenceSolver(sys_obj, constraint).solutions())
     assert _found(solve_all_regions(sys_obj, constraint)) == _found(expected)
+
+
+# -- the search against the reference, branch by branch ------------------------
+
+def _check_trail(solver):
+    """Every trail entry is a domain change: its old value strictly holds
+    the value that followed it, the next entry's for that domain or the
+    current one."""
+    later = {}
+    for array, pos, old in reversed(solver.trail):
+        assert array is solver.mem or array is solver.sig
+        key = (array is solver.sig, pos)
+        new = later.get(key, array[pos])
+        assert new != old and new & old == new
+        later[key] = old
+
+
+def _open_cone(solver):
+    return {e for e, d in enumerate(solver.sig) if d != 0b111 and d & (d - 1)}
+
+
+class _CheckedSolver(_Solver):
+    """The solver as its own deadline: it records each branch as (kind,
+    variable, value), read from its top frame, and checks there that the
+    trail holds domain changes only and, there and after every undo, that
+    every open event of the cone waits on the heap.  ``push`` records the
+    domain of every event pushed on the heap."""
+
+    def __init__(self, sys_obj, constraint):
+        self.taken, self.pushed = [], []
+        super().__init__(sys_obj, constraint, self)
+
+    def push(self, heap, e):
+        self.pushed.append(self.sig[e])
+        heappush(heap, e)
+
+    def check(self):
+        _, kind, var, values, i = self.stack[-1]
+        self.taken.append((kind, var, values[i - 1]))
+        _check_trail(self)
+        assert _open_cone(self) <= set(self.heap)
+
+    def _undo(self, mark):
+        super()._undo(mark)
+        assert _open_cone(self) <= set(self.heap)
+
+
+def _checked_search(sys_obj, constraint, first_only):
+    solver = _CheckedSolver.__new__(_CheckedSolver)  # seeding pushes already
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(regions, "heappush", solver.push)
+        solver.__init__(sys_obj, constraint)
+        return solver, list(solver.solutions(first_only=first_only))
+
+
+class _BranchingReference(ReferenceSolver):
+    """The reference, recording each branch as (kind, variable, value)."""
+
+    def __init__(self, *args):
+        self.taken = []
+        super().__init__(*args)
+
+    def _assign(self, kind, var, bits):
+        self.taken.append((kind, var, bits))
+        super()._assign(kind, var, bits)
+
+
+@st.composite
+def _tight_constraints(draw, sys_obj):
+    """Up to four memberships and three signatures of ±1: constraints that
+    often pass seeding and then conflict under a branch."""
+    return RegionConstraint(
+        draw(st.dictionaries(st.sampled_from(sys_obj.states), st.integers(0, 1), max_size=4)),
+        draw(st.dictionaries(
+            st.sampled_from(sys_obj.events), st.sampled_from((-1, 1)), max_size=3)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(looped_systems(), st.data())
+def test_search_matches_the_reference_branch_by_branch(sys_obj, data):
+    """``solve_region`` (first only) and ``solve_all_regions`` (every
+    region) take the reference's branches in its order and find its
+    regions; the trail holds domain changes only, the heap takes only
+    events whose domain narrowed to an open one, and it holds every open
+    event of the cone at every branch."""
+    tight = data.draw(st.booleans())
+    constraint = data.draw(_tight_constraints(sys_obj)) if tight else _constraint(data, sys_obj)
+    _assert_search_matches_the_reference(sys_obj, constraint)
+
+
+def _assert_search_matches_the_reference(sys_obj, constraint):
+    for first_only in (True, False):
+        solver, found = _checked_search(sys_obj, constraint, first_only)
+        reference = _BranchingReference(sys_obj, constraint)
+        expected = list(reference.solutions(first_only=first_only))
+        assert _found(found) == _found(expected)
+        assert solver.taken == reference.taken
+        _check_trail(solver)
+        assert all(d != 0b111 and d & (d - 1) for d in solver.pushed)
+
+
+@pytest.mark.parametrize("word, membership", [
+    ("abba", {"s0": 0, "s3": 0}),
+    ("abba", {"s1": 1, "s4": 1}),
+])
+def test_an_event_reopened_by_backtracking_is_branched_on_again(word, membership):
+    """Branching on a decides b, and the closure drops b from the heap;
+    backtracking from a reopens b, which must be back on the heap."""
+    _assert_search_matches_the_reference(
+        TransitionSystem.chain(list(word)), RegionConstraint(membership))
 
 
 # -- fixed instances -----------------------------------------------------------
