@@ -6,11 +6,13 @@ not firing it.  Both searches are polarity-normalized (membership 1/0 for
 the first state, signature -1 plus membership 0 for inhibition), since the
 complement region covers the opposite polarity.
 
-The deciders reuse witnesses aggressively: every region found is applied
-to all still-open queries in bulk via membership bit-vectors before the
-solver is consulted again.  Queries are scanned in declaration order
-(events outer, states inner), so counterexamples and witnesses are
-deterministic.
+Each kind's open queries live in one query set: ``_Partition`` for the
+SSP, whose rows are the states, and ``_Pending`` for the ESSP, whose rows
+are the events.  One sweep serves both: it asks the solver for the first
+open query of a row, and every region found or given is absorbed into the
+set, which drops every open query the region answers, before the solver
+is consulted again.  Rows and their queries are scanned in declaration
+order, so counterexamples and witnesses are deterministic.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .regions import Region, RegionConstraint, _positions, _witness_regions, solve_region
+from .regions import Region, RegionConstraint, _witness_regions, solve_region
 from .ts import _indexed
 
 __all__ = [
@@ -103,28 +105,15 @@ class WitnessMap(Mapping):
         """The queries in sweep order: the intra-component state pairs, then
         the (event, state) pairs with the event not enabled, events outer."""
         idx = _indexed(self._sys)
-        states = idx.states
-        if "ssp" in self._kinds:
-            partition = _Partition(idx)
-            for i, s in enumerate(states):
-                later = partition.blocks[partition.block_of[i]] >> (i + 1) << (i + 1)
-                for j in _positions(idx, later):
-                    yield SeparationQuery.states(s, states[j])
-        if "essp" in self._kinds:
-            for e, pending in zip(idx.events, _essp_pending(idx)):
-                for i in _positions(idx, pending):
-                    yield SeparationQuery.event_state(e, states[i])
+        for kind in self._kinds:
+            queries = _QUERIES[kind](idx)
+            for row in queries.rows:
+                yield from queries.open(row)
 
     def __len__(self):
         """The query count, from block sizes and per-event counts."""
         idx = _indexed(self._sys)
-        count = 0
-        if "ssp" in self._kinds:
-            blocks = _Partition(idx).blocks
-            count += sum(b.bit_count() * (b.bit_count() - 1) // 2 for b in blocks)
-        if "essp" in self._kinds:
-            count += sum(m.bit_count() for m in _essp_pending(idx))
-        return count
+        return sum(_QUERIES[kind](idx).total for kind in self._kinds)
 
 
 @dataclass
@@ -153,7 +142,7 @@ def separable(sys, s: str, s2: str) -> Optional[Region]:
         raise ValueError(
             "states from different union components are separable by definition"
         )
-    return solve_region(sys, RegionConstraint(membership={s: 1, s2: 0}))
+    return solve_region(sys, _constraint(SeparationQuery.states(s, s2)))
 
 
 def inhibitable(sys, e: str, s: str) -> Optional[Region]:
@@ -164,9 +153,15 @@ def inhibitable(sys, e: str, s: str) -> Optional[Region]:
     """
     if sys.has_edge(s, e):
         raise ValueError(f"event {e!r} occurs at state {s!r}; the query is vacuous")
-    return solve_region(
-        sys, RegionConstraint(membership={s: 0}, signature={e: -1})
-    )
+    return solve_region(sys, _constraint(SeparationQuery.event_state(e, s)))
+
+
+def _constraint(query: SeparationQuery) -> RegionConstraint:
+    """The one polarity the solver searches for a query: R(a)=1 and R(b)=0
+    for states a and b, sig(a)=-1 and R(b)=0 for event a at state b."""
+    if query.kind == "ssp":
+        return RegionConstraint(membership={query.a: 1, query.b: 0})
+    return RegionConstraint(membership={query.b: 0}, signature={query.a: -1})
 
 
 class _Deadline:
@@ -181,31 +176,47 @@ class _Deadline:
 
 
 class _Partition:
-    """The states of a system that no absorbed region separates yet, as the
-    blocks of a partition: one block per component at the start, numbered
-    as in ``idx``, the system's index, and refined by every region, so the
-    open pairs of a state are the other states of its block.
+    """The open SSP queries: the states of a system that no absorbed region
+    separates yet, as the blocks of a partition: one block per component at
+    the start, numbered as in ``idx``, the system's index, and refined by
+    every region.  A row is a state, and its open queries pair it with the
+    later states of its block.
     """
 
     def __init__(self, idx):
+        self.states = idx.states
+        self.rows = range(len(idx.states))
         self.block_of = list(idx.component)
         self.blocks = [0] * (max(self.block_of) + 1)
         for i, b in enumerate(self.block_of):
             self.blocks[b] |= 1 << i
+        self.total = sum(b.bit_count() * (b.bit_count() - 1) // 2 for b in self.blocks)
 
-    def absorb(self, region: Region):
-        """Split every block the region cuts.  Each cut block holds a state
-        of the region's smaller side, and the smaller part of a split is
-        relabelled by walking its set bits, so the cost follows that side."""
+    def open(self, i: int):
+        """The pairs (i, j) with j > i in i's block, by j; the block is read
+        again after each, so a pair split off meanwhile is skipped."""
+        j = i
+        while rest := self.blocks[self.block_of[i]] >> (j + 1):
+            j += (rest & -rest).bit_length()
+            yield SeparationQuery.states(self.states[i], self.states[j])
+
+    def absorb(self, region: Region) -> int:
+        """Split every block the region cuts; returns the number of pairs
+        split.  Each cut block holds a state of the region's smaller side,
+        and the smaller part of a split is relabelled by walking its set
+        bits, so the cost follows that side."""
         blocks, block_of, mask = self.blocks, self.block_of, region.mask
         side, _ = region._side()
+        answered = 0
         for b in set(map(block_of.__getitem__, side)):
             block = blocks[b]
             inside = block & mask
             if inside == 0 or inside == block:
                 continue
             outside = block ^ inside
-            part = inside if inside.bit_count() <= outside.bit_count() else outside
+            size_in, size_out = inside.bit_count(), outside.bit_count()
+            answered += size_in * size_out
+            part = inside if size_in <= size_out else outside
             blocks[b] = block ^ part
             new, rest = len(blocks), part
             while rest:
@@ -213,104 +224,88 @@ class _Partition:
                 block_of[low.bit_length() - 1] = new
                 rest ^= low
             blocks.append(part)
+        return answered
 
 
-def _run_ssp(sys, deadline: _Deadline, regions: list[Region]) -> list[SeparationQuery]:
-    """Cover all intra-component pairs; returns the failing pair, if any."""
-    idx = _indexed(sys)
-    n = len(idx.states)
-    partition = _Partition(idx)
-    blocks, block_of = partition.blocks, partition.block_of
-    components = list(blocks)
+class _Pending:
+    """The open ESSP queries: per event id, the mask of the states at which
+    the event is not enabled and no absorbed region inhibits it.  A row is
+    an event, and its open queries are those states.
+    """
 
+    def __init__(self, idx):
+        self.states, self.events = idx.states, idx.events
+        self.rows = range(len(idx.events))
+        full = (1 << len(idx.states)) - 1
+        self.pending = []
+        for eids in idx.event_edges:
+            enabled = 0
+            for eid in eids:
+                enabled |= 1 << idx.esrc[eid]
+            self.pending.append(full & ~enabled)
+        self.total = sum(m.bit_count() for m in self.pending)
+
+    def open(self, k: int):
+        """The queries of event k, by state; the mask is read again after
+        each, so a query answered meanwhile is skipped."""
+        i = -1
+        while rest := self.pending[k] >> (i + 1):
+            i += (rest & -rest).bit_length()
+            yield SeparationQuery.event_state(self.events[k], self.states[i])
+
+    def absorb(self, region: Region) -> int:
+        """Drop the queries the region answers, an exiting event inhibited
+        outside it and an entering one inside; returns how many."""
+        pending, mask, answered = self.pending, region.mask, 0
+        for k, v in region._cut_signs().items():
+            if before := pending[k]:
+                pending[k] = before & (mask if v < 0 else ~mask)
+                answered += before.bit_count() - pending[k].bit_count()
+        return answered
+
+
+_QUERIES = {"ssp": _Partition, "essp": _Pending}
+
+
+def _sweep(sys, deadline: _Deadline, queries, regions: list[Region], exhaustive: bool):
+    """Answer every open query of ``queries``, a fresh query set, row by
+    row: the regions so far are absorbed first, then the solver is asked
+    for each query still open and every region it finds is absorbed and
+    appended to ``regions``.  Returns the failing queries: the first, or
+    with ``exhaustive`` all of them.  ``deadline.checked`` counts the
+    queries answered, by a region or by a failed solve."""
+    deadline.total += queries.total
     for region in regions:
-        partition.absorb(region)
-
-    deadline.total += sum(c.bit_count() * (c.bit_count() - 1) // 2 for c in components)
-    for i in range(n):
-        above = ~((1 << (i + 1)) - 1)
-        while True:
-            rem = blocks[block_of[i]] & above
-            if rem == 0:
-                break
-            j = (rem & -rem).bit_length() - 1
-            deadline.check()
-            witness = solve_region(
-                sys,
-                RegionConstraint(membership={idx.states[i]: 1, idx.states[j]: 0}),
-                deadline=deadline,
-            )
-            if witness is None:
-                return [SeparationQuery.states(idx.states[i], idx.states[j])]
-            regions.append(witness)
-            partition.absorb(witness)
-        deadline.checked += (components[idx.component[i]] & above).bit_count()
-    return []
-
-
-def _essp_pending(idx) -> list[int]:
-    """Per event id, the mask of the states at which the event is not enabled."""
-    full = (1 << len(idx.states)) - 1
-    pending = []
-    for eids in idx.event_edges:
-        enabled = 0
-        for eid in eids:
-            enabled |= 1 << idx.esrc[eid]
-        pending.append(full & ~enabled)
-    return pending
-
-
-def _absorb_cut(pending: list[int], region: Region):
-    """Drop from ``pending`` the (event, state) queries a region answers:
-    an exiting event is inhibited outside it, an entering one inside."""
-    mask = region.mask
-    for k, v in region._cut_signs().items():
-        if pending[k]:
-            pending[k] &= mask if v < 0 else ~mask
-
-
-def _run_essp(sys, deadline: _Deadline, regions: list[Region], exhaustive: bool):
-    """Cover all non-vacuous (event, state) queries; returns failing queries."""
-    idx = _indexed(sys)
-    # pending[k]: states at which event k is not enabled and not yet inhibited.
-    pending = _essp_pending(idx)
-    deadline.total += sum(m.bit_count() for m in pending)
-    for region in regions:
-        _absorb_cut(pending, region)
-
+        deadline.checked += queries.absorb(region)
     failures: list[SeparationQuery] = []
-    for k, e in enumerate(idx.events):
-        while pending[k]:
-            low = pending[k] & -pending[k]
-            i = low.bit_length() - 1
+    for row in queries.rows:
+        for query in queries.open(row):
             deadline.check()
-            witness = solve_region(
-                sys,
-                RegionConstraint(membership={idx.states[i]: 0}, signature={e: -1}),
-                deadline=deadline,
-            )
+            witness = solve_region(sys, _constraint(query), deadline=deadline)
             if witness is None:
-                failures.append(SeparationQuery.event_state(e, idx.states[i]))
+                failures.append(query)
                 if not exhaustive:
                     return failures
-                pending[k] &= ~low
                 deadline.checked += 1
-                continue
-            regions.append(witness)
-            _absorb_cut(pending, witness)
-            deadline.checked += 1
+            else:
+                regions.append(witness)
+                deadline.checked += queries.absorb(witness)
     return failures
 
 
 def _decide(sys, timeout, kinds: tuple[str, ...], exhaustive=False, seeds=()) -> Verdict:
-    """The one sweep behind every decider: the SSP sweep if ``kinds`` has
-    "ssp", then, unless it failed, the ESSP sweep if ``kinds`` has "essp",
-    both sharing the witnesses found so far, ``seeds`` first."""
+    """The one sweep behind every decider, run once per kind of ``kinds``
+    ("ssp" before "essp") until one fails, all sharing the witnesses found
+    so far, ``seeds`` first.  Only the ESSP sweep is ``exhaustive``."""
     deadline = _Deadline(timeout)
     regions = list(_witness_regions(sys, seeds))
-    failures = _run_ssp(sys, deadline, regions) if "ssp" in kinds else []
-    if "essp" in kinds and not failures:
-        failures = _run_essp(sys, deadline, regions, exhaustive)
+    idx = _indexed(sys)
+    failures: list[SeparationQuery] = []
+    for kind in kinds:
+        queries = _QUERIES[kind](idx)
+        failures = _sweep(sys, deadline, queries, regions, exhaustive and kind == "essp")
+        if failures:
+            break
     return Verdict(WitnessMap(sys, kinds, regions), tuple(failures))
 
 
@@ -341,25 +336,18 @@ def is_feasible(sys, timeout: float | None = None, exhaustive: bool = False) -> 
     return _decide(sys, timeout, ("ssp", "essp"), exhaustive)
 
 
-def is_ssp_witness(sys, regions: Iterable[Region]) -> bool:
-    """True iff every intra-component state pair is separated by the set.
+def _covers(sys, kind: str, regions: Iterable[Region]) -> bool:
+    """True iff the regions answer every query of the kind: absorbed into a
+    fresh query set, as in the sweep, they answer as many as it holds."""
+    queries = _QUERIES[kind](_indexed(sys))
+    return sum(map(queries.absorb, _witness_regions(sys, regions))) == queries.total
 
-    The regions refine the partition of :func:`has_ssp`'s sweep; the set is
-    a witness iff every block ends up a single state.
-    """
-    partition = _Partition(_indexed(sys))
-    for region in _witness_regions(sys, regions):
-        partition.absorb(region)
-    return all(b & (b - 1) == 0 for b in partition.blocks)
+
+def is_ssp_witness(sys, regions: Iterable[Region]) -> bool:
+    """True iff every intra-component state pair is separated by the set."""
+    return _covers(sys, "ssp", regions)
 
 
 def is_essp_witness(sys, regions: Iterable[Region]) -> bool:
-    """True iff every non-vacuous (event, state) query is answered by the set.
-
-    The regions are absorbed through the edges they cut, as in
-    :func:`has_essp`'s sweep; the set is a witness iff no query is left.
-    """
-    pending = _essp_pending(_indexed(sys))
-    for region in _witness_regions(sys, regions):
-        _absorb_cut(pending, region)
-    return not any(pending)
+    """True iff every non-vacuous (event, state) query is answered by the set."""
+    return _covers(sys, "essp", regions)

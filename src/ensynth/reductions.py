@@ -200,16 +200,20 @@ def _lin3_duplicator(j: int) -> TransitionSystem:
     return TransitionSystem.chain(word, prefix=f"d_{j}_")
 
 
-def _lin3_translator(i: int, clause: tuple[int, int, int]) -> list[TransitionSystem]:
-    a, b, c = clause
-    tilde = f"Xt.{i}.{b}"
+def _translator(
+    i: int, clause: tuple[int, int, int], variable_event: str
+) -> list[TransitionSystem]:
+    """The three chains of clause i's translator; ``variable_event`` names
+    the event of variable v, formatted with i and v."""
+    a, b, c = (variable_event.format(i=i, v=v) for v in clause)
+    tilde = f"Xt.{i}.{clause[1]}"
     return [
         TransitionSystem.chain(
-            [f"k_{18 * i + 2}", f"X{a}", tilde, f"X{c}", f"k_{18 * i + 11}"],
+            [f"k_{18 * i + 2}", a, tilde, c, f"k_{18 * i + 11}"],
             prefix=f"t_{i}_0_",
         ),
         TransitionSystem.chain(
-            [f"k_{18 * i + 5}", f"X{b}", f"p{i}", f"k_{18 * i + 14}"],
+            [f"k_{18 * i + 5}", b, f"p{i}", f"k_{18 * i + 14}"],
             prefix=f"t_{i}_1_",
         ),
         TransitionSystem.chain(
@@ -232,7 +236,7 @@ def build_linear3_essp(formula: CubicMonotoneFormula) -> GadgetInstance:
     components.extend(_lin3_refresher(j) for j in range(6 * m))
     components.extend(_lin3_duplicator(j) for j in range(6 * m))
     for i, clause in enumerate(formula.clauses):
-        components.extend(_lin3_translator(i, clause))
+        components.extend(_translator(i, clause, "X{v}"))
     union = make_union(components)
     return GadgetInstance(
         construction="linear3-essp",
@@ -291,9 +295,18 @@ def build_key_region_linear3(
 # -- linear 3-ESSP to linear 3-SSP ----------------------------------------
 
 
-def _fresh(name: str, forbidden: set[str]) -> str:
-    while name in forbidden:
-        name += "+"
+def _namer(ts: TransitionSystem):
+    """A name source for gadgets built around ``ts``: each call returns its
+    argument, suffixed with "+" until it clashes with no name of ``ts`` and
+    no name returned before."""
+    used = set(ts.states) | set(ts.events)
+
+    def name(x: str) -> str:
+        while x in used:
+            x += "+"
+        used.add(x)
+        return x
+
     return name
 
 
@@ -309,12 +322,7 @@ def _query_sub_union(ts: TransitionSystem, event: str, state: str) -> TsUnion:
     gate against the input's own names, so the copy component can carry
     the input verbatim.
     """
-    used = set(ts.states) | set(ts.events)
-
-    def name(x: str) -> str:
-        fresh = _fresh(x, used)
-        used.add(fresh)
-        return fresh
+    name = _namer(ts)
 
     ecopy = [name(f"{event}.{n}") for n in range(10)]
     vice = [name(f"v{n}") for n in range(12)]
@@ -468,25 +476,6 @@ def _manifolder(i: int, clause_indices: tuple[int, ...]) -> TransitionSystem:
     )
 
 
-def _grade2_translator(i: int, clause: tuple[int, int, int]) -> list[TransitionSystem]:
-    a, b, c = clause
-    tilde = f"Xt.{i}.{b}"
-    return [
-        TransitionSystem.chain(
-            [f"k_{18 * i + 2}", f"X.{i}.{a}", tilde, f"X.{i}.{c}", f"k_{18 * i + 11}"],
-            prefix=f"t_{i}_0_",
-        ),
-        TransitionSystem.chain(
-            [f"k_{18 * i + 5}", f"X.{i}.{b}", f"p{i}", f"k_{18 * i + 14}"],
-            prefix=f"t_{i}_1_",
-        ),
-        TransitionSystem.chain(
-            [f"k_{18 * i + 8}", tilde, f"p{i}", f"k_{18 * i + 17}"],
-            prefix=f"t_{i}_2_",
-        ),
-    ]
-
-
 def build_2grade2_essp(formula: CubicMonotoneFormula) -> GadgetInstance:
     """Headmaster, 14m duplicators, 4m barters, m manifolders, m translators.
 
@@ -510,7 +499,7 @@ def build_2grade2_essp(formula: CubicMonotoneFormula) -> GadgetInstance:
         components.append(_manifolder(i, formula.clauses_of(i)))
         terminals.append(f"x_{i}_5")
     for i, clause in enumerate(formula.clauses):
-        components.extend(_grade2_translator(i, clause))
+        components.extend(_translator(i, clause, "X.{i}.{v}"))
         terminals.extend((f"t_{i}_0_5", f"t_{i}_1_4", f"t_{i}_2_4"))
     union = make_union(components)
     return GadgetInstance(
@@ -568,12 +557,7 @@ def build_2grade2_ssp(ts: TransitionSystem) -> GadgetInstance:
         counts[ev] = counts.get(ev, 0) + 1
     triple_events = [e for e in ts.events if counts.get(e, 0) == 3]
 
-    used = set(ts.states) | set(ts.events)
-
-    def name(x: str) -> str:
-        fresh = _fresh(x, used)
-        used.add(fresh)
-        return fresh
+    name = _namer(ts)
 
     copies: dict[str, list[str]] = {}
     accordance: dict[str, list[str]] = {}

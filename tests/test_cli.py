@@ -82,6 +82,23 @@ def test_check_feasible_reports_every_essp_counterexample(files, capsys):
         assert outputs[command, ()] == both[:1]
 
 
+def test_check_feasible_exhaustive_stops_at_the_first_ssp_failure(files, capsys):
+    """--exhaustive-counterexamples reaches the ESSP sweep only: a failing
+    SSP sweep reports its first pair alone, in text and in JSON."""
+    (files / "abcd.ts").write_text(
+        serialize_ts(TransitionSystem.chain(["a", "b", "a", "b", "c", "d", "c", "d"])))
+    for flags in ((), ("--format", "json")):
+        assert run([*flags, "--exhaustive-counterexamples", "check-feasible",
+                    str(files / "abcd.ts")]) == 1
+        out = capsys.readouterr().out
+        if flags:
+            assert json.loads(out)["counterexamples"] == [
+                {"a": "s0", "b": "s2", "kind": "ssp"}]
+        else:
+            assert out.splitlines() == [
+                "feasibility: fails", "counterexample: states (s0, s2)"]
+
+
 def test_linear2_ssp_cli(files, capsys):
     assert run(["linear2-ssp", str(files / "abab.ts")]) == 1
     out = capsys.readouterr().out

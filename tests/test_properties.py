@@ -336,3 +336,47 @@ def test_checks_call_the_deciders_through_module_globals(master, tmp_path, monke
     assert {k: calls[k] for k in ("has_ssp", "has_essp", "is_feasible")} == {
         "has_ssp": 1, "has_essp": 1, "is_feasible": 1}
     assert calls["solve_region"] > 0
+
+
+def _recorded_deadlines(monkeypatch) -> list:
+    """Every ``_Deadline`` the deciders make from now on, in order."""
+    made = []
+
+    class Recording(properties._Deadline):
+        def __init__(self, timeout):
+            super().__init__(timeout)
+            made.append(self)
+
+    monkeypatch.setattr(properties, "_Deadline", Recording)
+    return made
+
+
+def test_checked_counts_the_queries_answered(monkeypatch):
+    """``checked`` counts answered queries, by a solve or by reuse, for the
+    SSP and the ESSP alike: a holding verdict and an exhaustive ESSP run
+    end with every query checked.  On the holding chain ``c f h b a h`` the
+    ESSP sweep's 29 queries take one solve; the count is 50, not 22."""
+    made = _recorded_deadlines(monkeypatch)
+    chain = TransitionSystem.chain(["c", "f", "h", "b", "a", "h"])
+    assert is_feasible(chain).holds
+    assert (made[-1].checked, made[-1].total) == (50, 50)
+    rng = random.Random(11)
+    holding = failing = 0
+    for _ in range(150):
+        ts = random_linear_ts(rng, 9, 3)
+        for decide in (has_ssp, has_essp, is_feasible):
+            verdict = decide(ts)
+            if verdict.holds:
+                holding += 1
+                assert made[-1].checked == made[-1].total == len(verdict.witnesses)
+        failing += len(has_essp(ts, exhaustive=True).failures) > 1
+        assert made[-1].checked == made[-1].total
+    assert holding > 50 and failing > 10
+
+
+def test_exhaustive_feasibility_stops_at_the_first_ssp_failure():
+    """``exhaustive`` is the ESSP sweep's: the SSP sweep stops at its first
+    failing pair, though (s4, s6) fails too."""
+    ts = TransitionSystem.chain(["a", "b", "a", "b", "c", "d", "c", "d"])
+    assert not has_ssp(ts).holds and separable(ts, "s4", "s6") is None
+    assert is_feasible(ts, exhaustive=True).failures == (SeparationQuery.states("s0", "s2"),)
