@@ -7,14 +7,21 @@ loop-free, reachable from the initial state, and free of unused events;
 because downstream constructions (reachability graphs in particular) produce
 graphs that legitimately break simplicity or loop-freeness and still need to
 be represented.
+
+Building a system costs about its own size.  The constructor checks whole
+columns with set passes, ``TransitionSystem.chain`` and ``parse_ts`` store
+each name once and share it between the states tuple and the edges, and
+``parse_ts`` reads its text as a stream of lines.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from operator import itemgetter
+from typing import Iterable, NoReturn, Sequence
 
 __all__ = [
     "Edge",
@@ -31,8 +38,53 @@ __all__ = [
 ]
 
 IDENTIFIER = re.compile(r"[A-Za-z0-9_.:+-]+\Z")
+_BLOCK = 1 << 16  # characters of text split into lines at a time
 
 Edge = tuple[str, str, str]  # (source, event, target)
+
+
+def _edge_tuple(edges: Iterable[Edge]) -> tuple[Edge, ...]:
+    """``edges`` as a tuple of 3-tuples, each tuple edge kept as it is.
+
+    An edge that is a string, or that does not have exactly three items,
+    raises ``ValueError`` naming it; other three-item edges become tuples.
+    """
+    edges = tuple(edges)
+    if set(map(type, edges)) <= {tuple} and set(map(len, edges)) <= {3}:
+        return edges
+    checked = []
+    for edge in edges:
+        items = () if isinstance(edge, str) else tuple(edge)
+        if len(items) != 3:
+            raise ValueError(f"malformed edge {edge!r}")
+        checked.append(items)
+    return tuple(checked)
+
+
+def _first_use_states(initial: str, edges: Iterable[Edge]) -> dict[str, None]:
+    """The initial state, then every edge's source and target in first-use order."""
+    states = {initial: None}
+    for src, _, dst in edges:
+        states[src] = states[dst] = None  # assigned left to right
+    return states
+
+
+def _first_bad_edge(state_set: set, event_set: set, edges: tuple[Edge, ...]) -> NoReturn:
+    """Raise the error for the first edge, in order, that references an
+    undeclared state or event or repeats an earlier edge."""
+    seen = set()
+    for edge in edges:
+        src, ev, dst = edge
+        if src not in state_set:
+            raise ValueError(f"edge references undeclared state {src!r}")
+        if dst not in state_set:
+            raise ValueError(f"edge references undeclared state {dst!r}")
+        if ev not in event_set:
+            raise ValueError(f"edge references undeclared event {ev!r}")
+        if edge in seen:
+            raise ValueError(f"duplicate edge {edge!r}")
+        seen.add(edge)
+    raise AssertionError("a column check failed but no edge fails it")
 
 
 class _Index:
@@ -122,8 +174,9 @@ class TransitionSystem(_System):
 
     State and event identifiers are opaque strings; iteration order is
     declaration order everywhere, so that witnesses and serializations are
-    reproducible.  Construction enforces referential integrity only; the
-    five admissibility conditions are checked by :func:`validate`.
+    reproducible.  Construction enforces well-formed edges (three items, not
+    a string), referential integrity and distinct declarations and edges
+    only; the five admissibility conditions are checked by :func:`validate`.
     """
 
     # ``_index`` (see :class:`_System`), ``_chain`` (see :func:`_linear_chain`)
@@ -140,7 +193,10 @@ class TransitionSystem(_System):
     ):
         states = tuple(states)
         events = tuple(events)
-        edges = tuple(tuple(e) for e in edges)
+        edges = _edge_tuple(edges)
+        # The edge set is dropped before the state and event sets are
+        # built, so that the three never coexist.
+        distinct = len(set(edges)) == len(edges)
         state_set = set(states)
         event_set = set(events)
         if len(state_set) != len(states):
@@ -151,17 +207,15 @@ class TransitionSystem(_System):
             raise ValueError("a transition system needs at least one state")
         if initial not in state_set:
             raise ValueError(f"initial state {initial!r} is not a declared state")
-        seen = set()
-        for src, ev, dst in edges:
-            if src not in state_set:
-                raise ValueError(f"edge references undeclared state {src!r}")
-            if dst not in state_set:
-                raise ValueError(f"edge references undeclared state {dst!r}")
-            if ev not in event_set:
-                raise ValueError(f"edge references undeclared event {ev!r}")
-            if (src, ev, dst) in seen:
-                raise ValueError(f"duplicate edge {(src, ev, dst)!r}")
-            seen.add((src, ev, dst))
+        # Whole-column passes; the per-edge walk runs only to name the
+        # first offending edge once one of them has failed.
+        if not (
+            distinct
+            and state_set.issuperset(map(itemgetter(0), edges))
+            and state_set.issuperset(map(itemgetter(2), edges))
+            and event_set.issuperset(map(itemgetter(1), edges))
+        ):
+            _first_bad_edge(state_set, event_set, edges)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "events", events)
         object.__setattr__(self, "initial", initial)
@@ -179,22 +233,20 @@ class TransitionSystem(_System):
     def from_edges(cls, initial: str, edges: Iterable[Edge],
                    extra_events: Iterable[str] = ()) -> "TransitionSystem":
         """Build a TS declaring states/events in order of first appearance."""
-        edges = [tuple(e) for e in edges]
-        states: dict[str, None] = {initial: None}
-        events: dict[str, None] = {}
-        for src, ev, dst in edges:
-            states.setdefault(src, None)
-            events.setdefault(ev, None)
-            states.setdefault(dst, None)
-        for ev in extra_events:
-            events.setdefault(ev, None)
-        return cls(states, events, initial, edges)
+        edges = _edge_tuple(edges)
+        events = dict.fromkeys(itertools.chain(map(itemgetter(1), edges), extra_events))
+        return cls(_first_use_states(initial, edges), events, initial, edges)
 
     @classmethod
     def chain(cls, word: Sequence[str], prefix: str = "s") -> "TransitionSystem":
-        """Linear TS prefix0 -word[0]-> prefix1 -...-> prefixN."""
-        edges = [(f"{prefix}{i}", ev, f"{prefix}{i + 1}") for i, ev in enumerate(word)]
-        return cls.from_edges(f"{prefix}0", edges)
+        """Linear TS prefix0 -word[0]-> prefix1 -...-> prefixN.
+
+        Each state name is made once and shared by the states tuple and
+        the edges that enter and leave it.
+        """
+        states = tuple(f"{prefix}{i}" for i in range(len(word) + 1))
+        edges = zip(states, word, itertools.islice(states, 1, None))
+        return cls(states, dict.fromkeys(word), states[0], edges)
 
     def rename(self, fn) -> "TransitionSystem":
         """Apply ``fn`` to every state and event identifier."""
@@ -212,7 +264,7 @@ class TransitionSystem(_System):
             self.states == other.states
             and self.events == other.events
             and self.initial == other.initial
-            and set(self.edges) == set(other.edges)
+            and (self.edges == other.edges or set(self.edges) == set(other.edges))
         )
 
     def __hash__(self):
@@ -334,29 +386,37 @@ def _linear_chain(ts: _System) -> tuple[tuple[str, ...], tuple[str, ...]] | None
     state runs through every state; a union has no initial state, so it is
     never linear.  This is the package's only walk of a chain; it reads the
     edge list, not the index, and its result is cached in the ``_chain``
-    slot (``()`` when the TS is not linear).  The chain's states are
-    ``ts.states`` itself when declared in chain order.
+    slot (``()`` when the TS is not linear).  A chain declared in order,
+    edge k running from ``ts.states[k]`` to ``ts.states[k + 1]``, is
+    recognised by comparing the edge columns with the states, with no
+    per-edge map, and its states are ``ts.states`` itself.
     """
     if not isinstance(ts, TransitionSystem):
         return None
     chain = ts._chain
     if chain is None:
         chain = ()
-        n = len(ts.states)
-        # n - 1 edges walked from the initial state through n distinct
-        # states are exactly one chain.
-        if len(ts.edges) == n - 1:
-            step = {edge[0]: edge for edge in ts.edges}
-            state = ts.initial
-            states, word = [state], []
-            while state in step and len(states) < n:
-                _, event, state = step[state]
-                word.append(event)
-                states.append(state)
-            if len(set(states)) == n:
-                states = tuple(states)
-                # States declared in chain order are not stored twice.
-                chain = (ts.states if states == ts.states else states, tuple(word))
+        states, edges = ts.states, ts.edges
+        n = len(states)
+        if len(edges) == n - 1:
+            if (states[0] == ts.initial
+                    and tuple(map(itemgetter(0), edges)) == states[:-1]
+                    and tuple(map(itemgetter(2), edges)) == states[1:]):
+                chain = (states, tuple(map(itemgetter(1), edges)))
+            else:
+                # n - 1 edges walked from the initial state through n
+                # distinct states are exactly one chain.
+                step = {edge[0]: edge for edge in edges}
+                state = ts.initial
+                walked, word = [state], []
+                while state in step and len(walked) < n:
+                    _, event, state = step[state]
+                    word.append(event)
+                    walked.append(state)
+                if len(set(walked)) == n:
+                    walked = tuple(walked)
+                    # States declared in chain order are not stored twice.
+                    chain = (states if walked == states else walked, tuple(word))
         object.__setattr__(ts, "_chain", chain)
     return chain or None
 
@@ -384,10 +444,20 @@ def _check_identifier(token: str, line: int) -> str:
 
 
 def _content_lines(text: str):
-    for number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield number, line
+    """(line number, content) of each line that holds more than a comment.
+
+    Lines are those of ``text.splitlines()``, split one block at a time so
+    that a large text is never listed whole.
+    """
+    number, start = 0, 0
+    while start < len(text):
+        end = text.find("\n", start + _BLOCK) + 1 or len(text)
+        for raw in text[start:end].splitlines():
+            number += 1
+            line = raw.split("#", 1)[0].strip()
+            if line:
+                yield number, line
+        start = end
 
 
 def parse_ts(text: str) -> TransitionSystem:
@@ -399,42 +469,57 @@ def parse_ts(text: str) -> TransitionSystem:
     first, wherever its line stands; other states and events are declared
     by first use.
     """
-    lines = list(_content_lines(text))
-    if not lines:
+    initial, events, edges = _read_ts(_content_lines(text))
+    return TransitionSystem(_first_use_states(initial, edges), events, initial, edges)
+
+
+def _read_ts(lines) -> tuple[str, dict[str, None], list[Edge]]:
+    """Initial state, declared events and edges of a stream of ``.ts`` lines.
+
+    Each identifier is checked once, at its first use, and stored once, so
+    an edge's target and the next edge's source are one string; the table
+    that shares them lives only while the lines are read.
+    """
+    header_no, header = next(lines, (None, None))
+    if header is None:
         raise ParseError("empty input, expected a .ts header")
-    header_no, header = lines[0]
     if header != ".ts":
         raise ParseError(f"expected '.ts' header, found {header!r}", header_no)
 
+    names: dict[str, str] = {}
+
+    def name(token: str, number: int) -> str:
+        known = names.get(token)
+        if known is None:
+            known = names[token] = _check_identifier(token, number)
+        return known
+
     initial: str | None = None
-    states: dict[str, None] = {}
     events: dict[str, None] = {}
     edges: list[Edge] = []
-    for number, line in lines[1:]:
+    for number, line in lines:
         fields = line.split()
         if fields[0] == "initial":
             if len(fields) != 2:
                 raise ParseError("initial takes exactly one state", number)
             if initial is not None:
                 raise ParseError("duplicate initial declaration", number)
-            initial = _check_identifier(fields[1], number)
+            initial = name(fields[1], number)
         elif fields[0] == "event":
             if len(fields) != 2:
                 raise ParseError("event takes exactly one name", number)
-            events.setdefault(_check_identifier(fields[1], number), None)
+            events.setdefault(name(fields[1], number), None)
         elif fields[0] == "edge":
             if len(fields) != 4:
                 raise ParseError("edge takes source, event, target", number)
-            src, ev, dst = (_check_identifier(f, number) for f in fields[1:])
-            states.setdefault(src, None)
-            events.setdefault(ev, None)
-            states.setdefault(dst, None)
-            edges.append((src, ev, dst))
+            edge = (name(fields[1], number), name(fields[2], number), name(fields[3], number))
+            events.setdefault(edge[1], None)
+            edges.append(edge)
         else:
             raise ParseError(f"unknown directive {fields[0]!r}", number)
     if initial is None:
         raise ParseError("missing initial declaration")
-    return TransitionSystem({initial: None, **states}, events, initial, edges)
+    return initial, events, edges
 
 
 def serialize_ts(ts: TransitionSystem) -> str:
@@ -445,7 +530,7 @@ def serialize_ts(ts: TransitionSystem) -> str:
     the edge that first uses a later event, or at the end.  States can only
     be declared by first use, so any other state order is rejected.
     """
-    first_use = tuple(dict.fromkeys([ts.initial, *(s for e in ts.edges for s in e[::2])]))
+    first_use = tuple(_first_use_states(ts.initial, ts.edges))
     if first_use != ts.states:
         bad = next(s for s, u in zip(ts.states, first_use + (None,)) if s != u)
         raise ValueError(f"unserializable state order: {bad!r} is isolated or out of first-use order")
