@@ -31,7 +31,7 @@ from .ts import (
     serialize_ts,
     validate,
 )
-from .unions import TsUnion, join, parse_union, serialize_union
+from .unions import TsUnion, _terminal_lines, join, parse_union, serialize_union
 
 __all__ = ["main", "run", "export_dot"]
 
@@ -58,24 +58,23 @@ def _write(path, text: str) -> None:
         raise _InputError(f"cannot write {path}: {exc.strerror}") from exc
 
 
+def _header(text: str) -> str:
+    """The first content line of ``text``, which names its format."""
+    return next((line for _, line in _content_lines(text)), "")
+
+
 def _load_system(path: str):
     """A .ts file yields a TransitionSystem, a .union file a TsUnion."""
     text = _read(path)
-    header = next((line for _, line in _content_lines(text)), "")
-    if header == ".union":
+    if _header(text) == ".union":
         base = Path(path).parent
-
-        def loader(ref: str) -> str:
-            return _read(str(base / ref))
-
-        union, plan, _ = parse_union(text, loader)
-        return union, plan
-    return parse_ts(text), None
+        return parse_union(text, lambda ref: _read(str(base / ref)))[0]
+    return parse_ts(text)
 
 
 def _load_ts(args) -> TransitionSystem:
     """The single TS a command needs; a .union file is an input error."""
-    ts, _ = _load_system(args.file)
+    ts = _load_system(args.file)
     if isinstance(ts, TsUnion):
         raise _InputError(f"{args.command} expects a single .ts file")
     return ts
@@ -139,7 +138,7 @@ _CHECKS = {
 
 def _cmd_check(args) -> int:
     kind, decide = _CHECKS[args.command]
-    sys_obj, _ = _load_system(args.file)
+    sys_obj = _load_system(args.file)
     verdict = decide(sys_obj, args)
     lines = [f"{kind}: {'holds' if verdict.holds else 'fails'}"]
     payload = {"property": kind, "holds": verdict.holds}
@@ -256,12 +255,7 @@ def _cmd_reduce(args) -> int:
         raise _InputError(f"cannot write {outdir}: {exc.strerror}") from exc
     stem = args.construction
     _write(outdir / f"{stem}.union", serialize_union(instance.union, instance.join_plan))
-    plan_lines = [
-        f"terminal C{i} {t}"
-        for i, t in enumerate(instance.join_plan.terminals)
-        if t is not None
-    ]
-    _write(outdir / f"{stem}.plan", "\n".join(plan_lines) + "\n")
+    _write(outdir / f"{stem}.plan", "\n".join(_terminal_lines(instance.join_plan)) + "\n")
     manifest = []
     if instance.key_query:
         manifest.append(f"inhibit {instance.key_query[0]} {instance.key_query[1]}")
@@ -313,11 +307,7 @@ def export_dot(obj, shade: set[str] = frozenset()) -> str:
 
 def _cmd_export_dot(args) -> int:
     text = _read(args.file)
-    header = next((line for _, line in _content_lines(text)), "")
-    if header == ".ens":
-        obj = synthesis.parse_ens(text)
-    else:
-        obj = parse_ts(text)
+    obj = synthesis.parse_ens(text) if _header(text) == ".ens" else parse_ts(text)
     shade = set(args.shade.split(",")) if args.shade else set()
     _write(args.out, export_dot(obj, shade))
     return 0

@@ -22,8 +22,7 @@ from .ts import (
     TransitionSystem,
     ValidationReport,
     _check_identifier,
-    _content_lines,
-    _indexed,
+    _header_lines,
     validate,
 )
 
@@ -208,11 +207,15 @@ def check_morphism(ts: TransitionSystem, regions: Sequence[Region]) -> bool:
     return True
 
 
-def _require_deterministic(ts: TransitionSystem, what: str) -> None:
-    # Each successor map keeps one edge per event, so an edge is lost iff
-    # two leave the same state with the same event.
-    if sum(map(len, _indexed(ts).successors)) != len(ts.edges):
-        raise ValueError(f"{what} requires deterministic transition systems")
+def _out_maps(ts: TransitionSystem, what: str) -> dict[str, dict[str, str]]:
+    """State -> (event -> target) in one pass, refusing nondeterminism."""
+    out: dict[str, dict[str, str]] = {s: {} for s in ts.states}
+    for src, ev, dst in ts.edges:
+        succ = out[src]
+        if ev in succ:
+            raise ValueError(f"{what} requires deterministic transition systems")
+        succ[ev] = dst
+    return out
 
 
 def ts_isomorphic(a: TransitionSystem, b: TransitionSystem) -> bool:
@@ -221,20 +224,13 @@ def ts_isomorphic(a: TransitionSystem, b: TransitionSystem) -> bool:
     Deterministic reachable systems admit at most one such isomorphism, so
     a canonical BFS relabeling decides it.
     """
-    _require_deterministic(a, "ts_isomorphic")
-    _require_deterministic(b, "ts_isomorphic")
-
     def canon(ts: TransitionSystem):
+        out = _out_maps(ts, "ts_isomorphic")
         index = {ts.initial: 0}
         order = [ts.initial]
-        head = 0
         edges = []
-        while head < len(order):
-            s = order[head]
-            head += 1
-            succ = ts.successors(s)
-            for ev in sorted(succ):
-                t = succ[ev]
+        for s in order:  # the loop reaches the states it appends
+            for ev, t in sorted(out[s].items()):
                 if t not in index:
                     index[t] = len(index)
                     order.append(t)
@@ -250,15 +246,13 @@ def language_equal(a: TransitionSystem, b: TransitionSystem) -> bool:
     Synchronized product traversal: the languages differ iff some reachable
     state pair enables an event on exactly one side.
     """
-    _require_deterministic(a, "language_equal")
-    _require_deterministic(b, "language_equal")
+    out_a, out_b = _out_maps(a, "language_equal"), _out_maps(b, "language_equal")
     seen = {(a.initial, b.initial)}
     frontier = [(a.initial, b.initial)]
     while frontier:
         sa, sb = frontier.pop()
-        succ_a = a.successors(sa)
-        succ_b = b.successors(sb)
-        if set(succ_a) != set(succ_b):
+        succ_a, succ_b = out_a[sa], out_b[sb]
+        if succ_a.keys() != succ_b.keys():
             return False
         for ev, ta in succ_a.items():
             pair = (ta, succ_b[ev])
@@ -272,14 +266,11 @@ def language_equal(a: TransitionSystem, b: TransitionSystem) -> bool:
 
 
 def parse_ens(text: str) -> ElementaryNetSystem:
-    lines = list(_content_lines(text))
-    if not lines or lines[0][1] != ".ens":
-        raise ParseError("expected '.ens' header", lines[0][0] if lines else None)
     places: dict[str, None] = {}
     transitions: dict[str, None] = {}
     flows: dict[tuple[str, str], int] = {}  # pair -> line number
     marked: list[str] = []
-    for number, line in lines[1:]:
+    for number, line in _header_lines(text, ".ens"):
         fields = line.split()
         if fields[0] == "place" and len(fields) == 2:
             places.setdefault(_check_identifier(fields[1], number), None)

@@ -11,7 +11,8 @@ be represented.
 Building a system costs about its own size.  The constructor checks whole
 columns with set passes, ``TransitionSystem.chain`` and ``parse_ts`` store
 each name once and share it between the states tuple and the edges, and
-``parse_ts`` reads its text as a stream of lines.
+every format with a header is read as one stream of lines.  A ``.ts`` body
+has one reader and one writer, which ``.union`` components share.
 """
 
 from __future__ import annotations
@@ -95,14 +96,13 @@ class _Index:
     difference, so its edge constrains nothing.  ``positions`` holds each
     state position as one shared int, which ``state_pos``, the edge arrays
     and the member tuples of regions reuse.  ``component`` holds the
-    component id of each state position, and ``successors`` each state's
-    map event -> target, where the last edge wins.
+    component id of each state position.
     """
 
     __slots__ = (
         "states", "events", "state_pos", "event_pos", "esrc", "eev", "edst",
         "event_edges", "state_edges", "active", "repeated", "positions",
-        "component", "successors",
+        "component",
     )
 
     def __init__(self, sys):
@@ -115,7 +115,6 @@ class _Index:
         esrc, eev, edst = [], [], []
         event_edges = self.event_edges = [[] for _ in self.events]
         state_edges = self.state_edges = [[] for _ in self.states]
-        successors = self.successors = [{} for _ in self.states]
         for src, ev, dst in sys.edges:
             eid = len(esrc)
             s, e, t = state_pos[src], event_pos[ev], state_pos[dst]
@@ -125,7 +124,6 @@ class _Index:
             event_edges[e].append(eid)
             state_edges[s].append(eid)
             state_edges[t].append(eid)
-            successors[s][ev] = dst
         self.esrc, self.eev, self.edst = tuple(esrc), tuple(eev), tuple(edst)
         self.repeated = bytearray(len(es) > 1 for es in event_edges)
         self.active = bytearray(self.repeated[e] for e in eev)
@@ -157,13 +155,15 @@ class _System:
         return (0,) * len(self.states)
 
     def successors(self, state: str) -> dict[str, str]:
-        """Map event -> target for the edges leaving ``state``.
+        """A new map event -> target for the edges leaving ``state``.
 
         On nondeterministic graphs the last edge wins; admissible systems
         are deterministic, so this is only a concern for raw graphs.
         """
         idx = self._index or _indexed(self)
-        return idx.successors[idx.state_pos[state]]
+        s = idx.state_pos[state]
+        return {idx.events[idx.eev[i]]: idx.states[idx.edst[i]]
+                for i in idx.state_edges[s] if idx.esrc[i] == s}
 
     def has_edge(self, state: str, event: str) -> bool:
         return event in self.successors(state)
@@ -460,6 +460,18 @@ def _content_lines(text: str):
         start = end
 
 
+def _header_lines(text: str, header: str):
+    """The stream of content lines of ``text`` after its first, which must
+    be ``header``: the one header rule of every format that has one."""
+    lines = _content_lines(text)
+    number, found = next(lines, (None, None))
+    if found is None:
+        raise ParseError(f"empty input, expected a {header} header")
+    if found != header:
+        raise ParseError(f"expected '{header}' header, found {found!r}", number)
+    return lines
+
+
 def parse_ts(text: str) -> TransitionSystem:
     """Parse the line-based ``.ts`` format.
 
@@ -469,23 +481,17 @@ def parse_ts(text: str) -> TransitionSystem:
     first, wherever its line stands; other states and events are declared
     by first use.
     """
-    initial, events, edges = _read_ts(_content_lines(text))
-    return TransitionSystem(_first_use_states(initial, edges), events, initial, edges)
+    return _read_ts(_header_lines(text, ".ts"))
 
 
-def _read_ts(lines) -> tuple[str, dict[str, None], list[Edge]]:
-    """Initial state, declared events and edges of a stream of ``.ts`` lines.
+def _read_ts(lines, start: int | None = None) -> TransitionSystem:
+    """The system of a stream of (line number, content) ``.ts`` body lines;
+    a missing ``initial`` is reported on line ``start``.
 
     Each identifier is checked once, at its first use, and stored once, so
     an edge's target and the next edge's source are one string; the table
     that shares them lives only while the lines are read.
     """
-    header_no, header = next(lines, (None, None))
-    if header is None:
-        raise ParseError("empty input, expected a .ts header")
-    if header != ".ts":
-        raise ParseError(f"expected '.ts' header, found {header!r}", header_no)
-
     names: dict[str, str] = {}
 
     def name(token: str, number: int) -> str:
@@ -518,12 +524,18 @@ def _read_ts(lines) -> tuple[str, dict[str, None], list[Edge]]:
         else:
             raise ParseError(f"unknown directive {fields[0]!r}", number)
     if initial is None:
-        raise ParseError("missing initial declaration")
-    return initial, events, edges
+        raise ParseError("missing initial declaration", start)
+    del names  # the name table goes before the system is built
+    return TransitionSystem(_first_use_states(initial, edges), events, initial, edges)
 
 
 def serialize_ts(ts: TransitionSystem) -> str:
-    """Canonical text for a TS; parse(serialize(ts)) == ts.
+    """Canonical text for a TS; parse(serialize(ts)) == ts."""
+    return "\n".join([".ts", *_write_ts(ts)]) + "\n"
+
+
+def _write_ts(ts: TransitionSystem) -> list[str]:
+    """The ``.ts`` body lines of a TS, without the header.
 
     Events are declared by first use, so an ``event`` line is written only
     where an event would otherwise be declared out of order: just before
@@ -534,7 +546,7 @@ def serialize_ts(ts: TransitionSystem) -> str:
     if first_use != ts.states:
         bad = next(s for s, u in zip(ts.states, first_use + (None,)) if s != u)
         raise ValueError(f"unserializable state order: {bad!r} is isolated or out of first-use order")
-    out = [".ts", f"initial {ts.initial}"]
+    out = [f"initial {ts.initial}"]
     undeclared = iter(ts.events)
     declared: set[str] = set()
     for src, ev, dst in ts.edges:
@@ -546,4 +558,4 @@ def serialize_ts(ts: TransitionSystem) -> str:
                 out.append(f"event {early}")
         out.append(f"edge {src} {ev} {dst}")
     out.extend(f"event {ev}" for ev in undeclared)
-    return "\n".join(out) + "\n"
+    return out

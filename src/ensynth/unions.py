@@ -15,8 +15,8 @@ from typing import Iterable, Sequence
 
 from .regions import Region, _witness_regions
 from .ts import (
-    Edge, ParseError, TransitionSystem, _content_lines, _linear_chain, _System, classify,
-    parse_ts, serialize_ts,
+    Edge, ParseError, TransitionSystem, _header_lines, _linear_chain, _read_ts, _System,
+    _write_ts, classify, parse_ts,
 )
 
 __all__ = [
@@ -236,36 +236,25 @@ def parse_union(text: str, loader=None) -> tuple[TsUnion, "JoinPlan | None", lis
     by ``end``; ``component <name> <path>`` loads a ``.ts`` file through
     ``loader(path)``.  ``terminal <component> <state>`` lines assemble a
     join plan (None when no terminal lines appear).  Returns the union, the
-    plan, and the component names.
+    plan, and the component names.  The text is read once, as one stream
+    that also feeds the inline bodies, so errors name the file's lines.
     """
-    lines = list(_content_lines(text))
-    if not lines or lines[0][1] != ".union":
-        raise ParseError("expected '.union' header", lines[0][0] if lines else None)
+    lines = _header_lines(text, ".union")
     names: list[str] = []
     components: list[TransitionSystem] = []
-    terminals: dict[str, str] = {}
-    i = 1
-    while i < len(lines):
-        number, line = lines[i]
+    terminals: dict[str, tuple[str, int]] = {}  # component -> (state, line)
+    for number, line in lines:
         fields = line.split()
         if fields[0] == "component":
-            if len(fields) == 2:
-                name = fields[1]
-                body = [".ts"]
-                i += 1
-                while i < len(lines) and lines[i][1] != "end":
-                    body.append(lines[i][1])
-                    i += 1
-                if i == len(lines):
-                    raise ParseError(f"unterminated component {name!r}", number)
-                components.append(parse_ts("\n".join(body)))
-            elif len(fields) == 3:
-                name = fields[1]
-                if loader is None:
-                    raise ParseError("no loader for component file references", number)
-                components.append(parse_ts(loader(fields[2])))
-            else:
+            if len(fields) not in (2, 3):
                 raise ParseError("component takes a name and optional path", number)
+            name = fields[1]
+            if len(fields) == 2:
+                components.append(_read_ts(_component_body(lines, name, number), number))
+            elif loader is None:
+                raise ParseError("no loader for component file references", number)
+            else:
+                components.append(parse_ts(loader(fields[2])))
             if name in names:
                 raise ParseError(f"duplicate component name {name!r}", number)
             names.append(name)
@@ -274,18 +263,38 @@ def parse_union(text: str, loader=None) -> tuple[TsUnion, "JoinPlan | None", lis
                 raise ParseError("terminal takes component and state", number)
             if fields[1] in terminals:
                 raise ParseError(f"duplicate terminal for component {fields[1]!r}", number)
-            terminals[fields[1]] = fields[2]
+            terminals[fields[1]] = (fields[2], number)
         else:
             raise ParseError(f"unknown directive {fields[0]!r}", number)
-        i += 1
     union = TsUnion(components)
     plan = None
     if terminals:
-        unknown = set(terminals) - set(names)
+        unknown = [name for name in terminals if name not in names]
         if unknown:
-            raise ParseError(f"terminal for unknown component {sorted(unknown)}")
-        plan = JoinPlan(tuple(terminals.get(n) for n in names))
+            raise ParseError(f"terminal for unknown component {sorted(unknown)}",
+                             terminals[unknown[0]][1])
+        plan = JoinPlan(tuple(terminals[n][0] if n in terminals else None for n in names))
     return union, plan, names
+
+
+def _component_body(lines, name: str, number: int):
+    """The body of the inline component opened on line ``number``, up to its ``end``."""
+    for item in lines:
+        if item[1] == "end":
+            return
+        yield item
+    raise ParseError(f"unterminated component {name!r}", number)
+
+
+def _default_names(count: int) -> list[str]:
+    return [f"C{i}" for i in range(count)]
+
+
+def _terminal_lines(plan: JoinPlan, names: Sequence[str] | None = None) -> list[str]:
+    """The ``terminal`` lines of ``serialize_union`` and ``reduce``'s ``.plan`` file."""
+    if names is None:
+        names = _default_names(len(plan.terminals))
+    return [f"terminal {name} {t}" for name, t in zip(names, plan.terminals) if t is not None]
 
 
 def serialize_union(
@@ -306,15 +315,12 @@ def serialize_union(
             raise ValueError("unserializable join plan: it names no terminal")
 
     if names is None:
-        names = [f"C{i}" for i in range(len(union.components))]
+        names = _default_names(len(union.components))
     out = [".union"]
     for name, comp in zip(names, union.components):
         out.append(f"component {name}")
-        body = serialize_ts(comp).splitlines()[1:]  # drop the .ts header
-        out.extend(body)
+        out.extend(_write_ts(comp))
         out.append("end")
     if plan is not None:
-        for name, terminal in zip(names, plan.terminals):
-            if terminal is not None:
-                out.append(f"terminal {name} {terminal}")
+        out.extend(_terminal_lines(plan, names))
     return "\n".join(out) + "\n"

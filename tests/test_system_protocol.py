@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ensynth.properties import SeparationQuery, WitnessMap, separable
+from ensynth.synthesis import language_equal, ts_isomorphic
 from ensynth.ts import TransitionSystem
 from ensynth.unions import TsUnion
 
@@ -72,6 +73,28 @@ def test_successors_and_has_edge_match_the_edge_list(sys_obj):
         assert sys_obj.successors(s) == succ
         for e in (*sys_obj.events, "undeclared"):
             assert sys_obj.has_edge(s, e) == (e in succ)
+
+
+@EXAMPLES
+@given(raw_systems())
+def test_mutating_a_successor_map_leaks_nowhere(sys_obj):
+    """``successors`` returns a new map each time, so a caller that edits
+    it changes neither the system's edges nor its later answers."""
+    for s in sys_obj.states:
+        succ = sys_obj.successors(s)
+        succ["zz"] = s
+        for e in list(succ)[:1]:
+            del succ[e]
+    for s in sys_obj.states:
+        assert sys_obj.successors(s) == reference_successors(sys_obj, s)
+        assert not sys_obj.has_edge(s, "zz")
+
+
+def test_edited_successor_map_keeps_the_system_deterministic():
+    ts = TransitionSystem.chain(["a", "b"])
+    ts.successors("s0")["zz"] = "s2"
+    assert not ts.has_edge("s0", "zz")
+    assert ts_isomorphic(ts, ts) and language_equal(ts, ts)
 
 
 @EXAMPLES

@@ -16,6 +16,7 @@ from ensynth.ts import (
     ParseError,
     TransitionSystem,
     _content_lines,
+    _indexed,
     _linear_chain,
     parse_ts,
     serialize_ts,
@@ -390,6 +391,23 @@ def test_parse_shares_each_identifier(word):
     # every name as often as it is written kept 24.0 MB and peaked at
     # 66.3 MB above the text.
     assert kept < 20 * MB and peak < 40 * MB
+
+
+def test_parse_drops_its_name_table_before_building(word):
+    text = serialize_ts(TransitionSystem.chain(word))
+    _, _, peak = traced(lambda: parse_ts(text))
+    # 29.2 MB; the table of 10^5 names, kept while the constructor runs,
+    # would add 3.7 MB to the peak.
+    assert peak < 31 * MB
+
+
+def test_index_holds_no_per_state_maps(word):
+    ts = TransitionSystem.chain(word)
+    idx, kept, _ = traced(lambda: _indexed(ts))
+    assert idx is ts._index
+    # 31.8 MB kept.  A successor dict per state, which no sweep read,
+    # made it 50.1 MB.
+    assert kept < 40 * MB
 
 
 def test_in_order_chain_is_recognised_without_a_per_edge_map(word):
