@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import count
+from itertools import combinations, count
 from random import Random
 from types import MappingProxyType
 from typing import NamedTuple, Optional
@@ -41,6 +41,7 @@ class _Linear2(NamedTuple):
     states: tuple[str, ...]  # chain order
     word: tuple[str, ...]
     index: list[int]  # edge k -> edge of the other occurrence of its event, or -1
+    unique: bytes  # edge k -> 1 if its event occurs once, else 0
     in_order: bool  # states declared in chain order: state k is bit k of a mask
 
 
@@ -53,7 +54,8 @@ def _linear_2fold(ts: TransitionSystem) -> _Linear2:
     lin = () if chain is None else ts._twofold
     if lin is None:
         index = _other_occurrences(chain[1])
-        lin = () if index is None else _Linear2(*chain, index, chain[0] is ts.states)
+        lin = () if index is None else _Linear2(
+            *chain, index, bytes(p == -1 for p in index), chain[0] is ts.states)
         object.__setattr__(ts, "_twofold", lin)
     if not lin:
         raise ValueError("expected a linear 2-fold transition system")
@@ -153,39 +155,35 @@ def _result(ts: TransitionSystem, lin: _Linear2, out: int, into: int | None = No
 
 def _region_from_changes(
     ts: TransitionSystem, lin: _Linear2, changes: list[tuple[int, int]]
-) -> Optional[Region]:
+) -> Region:
     """Membership that changes by d across each edge p of ``changes``
     (sorted, at most four) and nowhere else.
 
-    The membership must stay in {0, 1}; at most one of the two start values
-    survives.  It is 1 on at most three runs of chain states, so the mask
-    costs a few big-int shifts when the states are declared in chain order,
-    and one digit per member state otherwise.
+    The three phases pick changes whose signs alternate, so the membership
+    is 1 up to the first exit when an exit comes first, from each entry to
+    the next exit, and from a last entry to the end of the chain.  These
+    are at most three runs of chain states, so the mask costs a few big-int
+    shifts when the states are declared in chain order, and one digit per
+    member state otherwise.
     """
-    last = len(lin.states) - 1
-    for start in (0, 1):
-        value, lo, runs = start, 0, []
-        for p, d in changes:
-            if value:
-                runs.append((lo, p))  # states lo..p lie before edge p
-            value += d
-            if not 0 <= value <= 1:
-                break
+    runs, lo = [], 0
+    for p, d in changes:
+        if d == 1:
             lo = p + 1
         else:
-            if value:
-                runs.append((lo, last))
-            if lin.in_order:
-                mask = sum((1 << (hi + 1)) - (1 << lo) for lo, hi in runs)
-            else:
-                pos = _indexed(ts).state_pos
-                digits = bytearray(b"0" * len(lin.states))
-                for lo, hi in runs:
-                    for state in lin.states[lo:hi + 1]:
-                        digits[-1 - pos[state]] = 0x31  # ASCII "1" for bit pos[state]
-                mask = int(digits, 2)
-            return Region(ts, mask)
-    return None
+            runs.append((lo, p))  # states lo..p lie before edge p
+    if changes[-1][1] == 1:
+        runs.append((lo, len(lin.states) - 1))
+    if lin.in_order:
+        mask = sum((1 << (hi + 1)) - (1 << lo) for lo, hi in runs)
+    else:
+        pos = _indexed(ts).state_pos
+        digits = bytearray(b"0" * len(lin.states))
+        for lo, hi in runs:
+            for state in lin.states[lo:hi + 1]:
+                digits[-1 - pos[state]] = 0x31  # ASCII "1" for bit pos[state]
+        mask = int(digits, 2)
+    return Region(ts, mask)
 
 
 def separator(
@@ -203,42 +201,53 @@ def separator(
     n = len(lin.word)
     if not (0 <= i < j <= n):
         raise IndexError(f"indices ({i}, {j}) out of range for chain length {n}")
-    if index is not None and list(index) != lin.index:
+    if index is not None and (index if isinstance(index, list) else list(index)) != lin.index:
         raise ValueError("index is not the other-occurrence index of this chain")
     return _separator(ts, lin, i, j)
 
 
-def _separator(ts: TransitionSystem, lin: _Linear2, i: int, j: int) -> SeparatorResult:
-    """The body of :func:`separator`, on valid indices.
+def _separator(ts: TransitionSystem, lin: _Linear2, i: int, j: int,
+               shared: dict[int, SeparatorResult] | None = None) -> SeparatorResult:
+    """The body of :func:`separator`, on valid indices.  ``shared``, if
+    given, maps a unique edge to its result, so that the pairs it
+    separates share one object."""
+    # Phase 1: the first unique event between s_i and s_j exits alone; the
+    # scan stops at its edge.
+    k = lin.unique.find(1, i, j)
+    if k != -1:
+        if shared is None:
+            return _result(ts, lin, k)
+        if k not in shared:
+            shared[k] = _result(ts, lin, k)
+        return shared[k]
 
-    The exiting event is found among the partners of the edges between s_i
-    and s_j, in O(j - i).  The entering event is the first edge, walking
-    from the exiting one towards the pair, whose partner lies outside the
-    span; that walk is O(n) only on an interlocking run of pairs.
-    """
+    # From here on every edge between s_i and s_j has a partner, read in
+    # O(j - i); a scan is empty when its phase has no partner on its side.
     index = lin.index
     inner = index[i:j]
-
-    # Phase 1: a globally unique event between s_i and s_j exits alone.
-    if -1 in inner:
-        return _result(ts, lin, i + inner.index(-1))
-
-    # From here on every edge between s_i and s_j has a partner.
-    # Phase 2: leftmost partner before s_i (-1 < a covers unique events).
-    a = min((p for p in inner if p < i), default=-1)
-    if a != -1:
-        for k in range(a + 1, i):
-            if index[k] < a or index[k] >= j:
-                return _result(ts, lin, a, k)
-
-    # Phase 3: rightmost partner after s_j (-1 < i covers unique events).
-    b = max((p for p in inner if p >= j), default=-1)
-    if b != -1:
-        for k in range(j, b):
-            if index[k] < i or index[k] > b:
-                return _result(ts, lin, b, k)
-
+    # Phase 2: leftmost partner before s_i.
+    a = min(inner)
+    k = _first_outside(index, a + 1, i, a, j - 1)
+    if k != -1:
+        return _result(ts, lin, a, k)
+    # Phase 3: rightmost partner after s_j.
+    b = max(inner)
+    k = _first_outside(index, j, b, i, b)
+    if k != -1:
+        return _result(ts, lin, b, k)
     return _NOT_FOUND
+
+
+def _first_outside(index: list[int], start: int, stop: int, lo: int, hi: int) -> int:
+    """First edge in [start, stop) whose partner lies outside [lo, hi], or -1.
+
+    A unique edge's partner, -1, always does.  This compensating scan is
+    O(n) only on an interlocking run of pairs.
+    """
+    for k in range(start, stop):
+        if not lo <= index[k] <= hi:
+            return k
+    return -1
 
 
 class _Separators(Mapping):
@@ -246,26 +255,22 @@ class _Separators(Mapping):
     names and computed on lookup.
 
     Iteration runs i ascending, then j ascending; ``len`` and ``in`` cost
-    O(1).  A pair with a unique event between its states shares the result
-    of the first such event; any other pair runs the search of
-    :func:`separator`.
+    O(1).  Each lookup is one :func:`_separator` call on the ``shared``
+    phase-1 results, so a pair with a unique event between its states gets
+    the result of the first such event.
     """
 
-    def __init__(self, ts: TransitionSystem, lin: _Linear2, next_unique: list[int],
-                 by_unique: dict[int, SeparatorResult]):
-        self._ts, self._lin = ts, lin
+    def __init__(self, ts: TransitionSystem, lin: _Linear2,
+                 shared: dict[int, SeparatorResult]):
+        self._ts, self._lin, self._shared = ts, lin, shared
         self._pos = {s: k for k, s in enumerate(lin.states)}
-        self._next_unique, self._by_unique = next_unique, by_unique
 
     def __len__(self) -> int:
         n = len(self._lin.word)
         return n * (n + 1) // 2
 
     def __iter__(self):
-        states = self._lin.states
-        for i, a in enumerate(states):
-            for b in states[i + 1:]:
-                yield a, b
+        return combinations(self._lin.states, 2)
 
     def _pair(self, key) -> Optional[tuple[int, int]]:
         if isinstance(key, tuple) and len(key) == 2:
@@ -281,11 +286,7 @@ class _Separators(Mapping):
         pair = self._pair(key)
         if pair is None:
             raise KeyError(key)
-        i, j = pair
-        k = self._next_unique[i]
-        if k < j:
-            return self._by_unique[k]
-        return _separator(self._ts, self._lin, i, j)
+        return _separator(self._ts, self._lin, *pair, self._shared)
 
 
 @dataclass
@@ -308,7 +309,7 @@ def linear2_ssp(ts: TransitionSystem) -> Linear2Verdict:
     plus theirs.
     """
     lin = _linear_2fold(ts)
-    states, word, index = lin.states, lin.word, lin.index
+    states, word = lin.states, lin.word
     n = len(word)
 
     bad = _first_exact_segment(word)
@@ -317,26 +318,18 @@ def linear2_ssp(ts: TransitionSystem) -> Linear2Verdict:
         return Linear2Verdict(
             WitnessMap(ts, (), []), (SeparationQuery.states(states[i], states[j]),))
 
-    # next_unique[k]: first position >= k with a globally unique event.
-    next_unique = [n] * (n + 1)
-    for k in range(n - 1, -1, -1):
-        next_unique[k] = k if index[k] == -1 else next_unique[k + 1]
-
-    # For each i the pairs up to j = next_unique[i] run the search; every
-    # later pair shares the phase-1 result of next_unique[i].
-    by_unique: dict[int, SeparatorResult] = {}
+    # For each i the pairs up to j = k, the first unique edge from i on, run
+    # the search; j = k + 1 gets the phase-1 result that later pairs share.
+    shared: dict[int, SeparatorResult] = {}
     regions: dict[int, Region] = {}  # distinct masks, in order of first use
-    for i in range(n + 1):
-        k = next_unique[i]
-        found = [_separator(ts, lin, i, j) for j in range(i + 1, k + 1)]
-        if k < n:
-            if k not in by_unique:
-                by_unique[k] = _result(ts, lin, k)
-            found.append(by_unique[k])
-        for res in found:
-            if res.region is not None:
-                regions.setdefault(res.region.mask, res.region)
+    for i in range(n):
+        k = lin.unique.find(1, i)
+        last = n if k == -1 else k + 1
+        for j in range(i + 1, last + 1):
+            region = _separator(ts, lin, i, j, shared).region
+            if region is not None:
+                regions.setdefault(region.mask, region)
     return Linear2Verdict(
         WitnessMap(ts, ("ssp",), list(regions.values())),
-        separators=_Separators(ts, lin, next_unique, by_unique),
+        separators=_Separators(ts, lin, shared),
     )

@@ -487,6 +487,10 @@ def build_2grade2_essp(formula: CubicMonotoneFormula) -> GadgetInstance:
     m = formula.m
     if m < 1:
         raise ValueError("the construction needs at least one clause")
+    for i in range(m):
+        if (count := len(formula.clauses_of(i))) != 3:
+            raise ValueError("2grade2-essp needs every variable in exactly three "
+                             f"clauses; X{i} occurs in {count}")
     components: list[TransitionSystem] = [_headmaster(m)]
     terminals: list[str] = ["h_0_8"]
     for j in range(14 * m):

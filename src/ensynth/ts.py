@@ -292,11 +292,11 @@ class TsClass:
 
 @dataclass(frozen=True)
 class Violation:
-    kind: str  # deterministic | simple | loop-free | reachable | reduced
-    offenders: tuple
+    kind: str  # events | deterministic | simple | loop-free | reachable | reduced
+    offenders: tuple  # empty for events: none is declared
 
     def __str__(self):
-        items = ", ".join(map(str, self.offenders))
+        items = ", ".join(map(str, self.offenders)) or "none declared"
         return f"{self.kind}: {items}"
 
 
@@ -318,15 +318,13 @@ class ValidationReport:
 
 
 def validate(ts: TransitionSystem) -> ValidationReport:
-    """Check determinism, simplicity, loop-freeness, reachability, reducedness.
+    """Check events, determinism, simplicity, loop-freeness, reachability, reducedness.
 
     All violations are reported, not just the first.  Dangling references
-    cannot occur here (the constructor rejects them); an empty event set is
-    treated as a structural error because no admissible system has one.
+    cannot occur here (the constructor rejects them).  No admissible system
+    has an empty event set: it is the violation ``events: none declared``.
     """
-    if not ts.events:
-        raise ValueError("transition system declares no events")
-    violations: list[Violation] = []
+    violations = [] if ts.events else [Violation("events", ())]
 
     by_source_event: dict[tuple[str, str], list[Edge]] = {}
     by_ends: dict[tuple[str, str], list[Edge]] = {}

@@ -234,10 +234,11 @@ def parse_union(text: str, loader=None) -> tuple[TsUnion, "JoinPlan | None", lis
 
     ``component <name>`` opens an inline block of ``.ts`` body lines closed
     by ``end``; ``component <name> <path>`` loads a ``.ts`` file through
-    ``loader(path)``.  ``terminal <component> <state>`` lines assemble a
-    join plan (None when no terminal lines appear).  Returns the union, the
-    plan, and the component names.  The text is read once, as one stream
-    that also feeds the inline bodies, so errors name the file's lines.
+    ``loader(path)`` and reports an error in it on its ``component`` line.
+    ``terminal <component> <state>`` lines assemble a join plan (None when
+    no terminal lines appear).  Returns the union, the plan, and the
+    component names.  The text is read once, as one stream that also feeds
+    the inline bodies, so errors name the file's lines.
     """
     lines = _header_lines(text, ".union")
     names: list[str] = []
@@ -254,7 +255,10 @@ def parse_union(text: str, loader=None) -> tuple[TsUnion, "JoinPlan | None", lis
             elif loader is None:
                 raise ParseError("no loader for component file references", number)
             else:
-                components.append(parse_ts(loader(fields[2])))
+                try:
+                    components.append(parse_ts(loader(fields[2])))
+                except ValueError as exc:
+                    raise ParseError(f"{fields[2]}: {exc}", number) from exc
             if name in names:
                 raise ParseError(f"duplicate component name {name!r}", number)
             names.append(name)

@@ -156,6 +156,20 @@ def test_synthesize_and_reach_graph(files, capsys):
     assert "initial M0" in text
 
 
+def test_reach_graph_of_a_net_without_transitions(files, capsys):
+    """An empty event set is a violation of the graph, not an input error."""
+    (files / "idle.ens").write_text(".ens\nplace p\n")
+    out_ts = files / "idle.ts"
+    assert run(["reach-graph", str(files / "idle.ens"), "--out", str(out_ts)]) == 0
+    assert out_ts.read_text() == ".ts\ninitial M0\n"
+    assert capsys.readouterr().err == "note: graph is not admissible: events: none declared\n"
+    assert run(["validate", str(out_ts)]) == 1
+    assert capsys.readouterr().out == "events: none declared\n"
+    assert run(["--format", "json", "validate", str(out_ts)]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "valid": False, "violations": [{"kind": "events", "offenders": []}]}
+
+
 def test_reduce_outputs(files):
     out = files / "red"
     assert run([
@@ -198,6 +212,16 @@ def test_reduce_unchecked_scaffolding(files):
     ]) == 2  # fails validity without --unchecked
 
 
+def test_reduce_2grade2_refuses_a_scaffolding_formula(files, capsys):
+    (files / "phi1.cnf3").write_text("clause 0 1 2\n")
+    assert run([
+        "reduce", "--construction", "2grade2-essp",
+        "--in", str(files / "phi1.cnf3"), "--out", str(files / "g2"), "--unchecked",
+    ]) == 2
+    assert capsys.readouterr().err == (
+        "error: 2grade2-essp needs every variable in exactly three clauses; X0 occurs in 1\n")
+
+
 def test_timeout_exit_code(files, capsys):
     out = files / "redbig"
     run(["reduce", "--construction", "linear3-essp",
@@ -226,6 +250,21 @@ def test_duplicate_union_terminal_exits_2(files, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: line 7: duplicate terminal for component 'A'\n"
+
+
+def test_errors_in_a_referenced_component_file_name_the_file(files, capsys):
+    """The loader's file is reported on its ``component`` line, after its path."""
+    (files / "bad.ts").write_text(".ts\ninitial a\nedge a x\n")
+    (files / "noinit.ts").write_text(".ts\nedge a x b\n")
+    (files / "bad.union").write_text(
+        ".union\n# inline first\ncomponent A\ninitial q\nend\ncomponent B bad.ts\n")
+    (files / "noinit.union").write_text(".union\ncomponent B noinit.ts\n")
+    assert run(["check-ssp", str(files / "bad.union")]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 6: bad.ts: line 3: edge takes source, event, target\n")
+    assert run(["check-ssp", str(files / "noinit.union")]) == 2
+    assert capsys.readouterr().err == "error: line 2: noinit.ts: missing initial declaration\n"
+
 
 def test_check_on_union_file(files, capsys):
     out = files / "redun"

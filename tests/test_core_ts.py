@@ -9,6 +9,7 @@ from ensynth.ts import (
     ParseError,
     TransitionSystem,
     TsClass,
+    Violation,
     classify,
     linear_word,
     parse_ts,
@@ -50,6 +51,13 @@ def test_loops_simplicity_reachability_reported():
     )
     kinds = validate(ts).kinds()
     assert {"simple", "loop-free", "reachable"} <= kinds
+
+
+def test_empty_event_set_reported():
+    report = validate(TransitionSystem(["s0", "s1"], [], "s0", []))
+    assert report.kinds() == {"events", "reachable"}
+    assert report.violations[0] == Violation("events", ())
+    assert str(report) == "events: none declared; reachable: s1"
 
 
 def test_structural_errors_raise():

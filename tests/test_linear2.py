@@ -397,3 +397,64 @@ def test_every_entry_point_refuses_a_union():
                  lambda: separator(union, 0, 1)):
         with pytest.raises(ValueError, match="expected a linear 2-fold transition system"):
             call()
+
+
+def interlocking(m):
+    """x a1 a2 a1 a3 a2 … am am-1 x w am u w: every a-pair overlaps the
+    next, so the compensating scans walk the whole run."""
+    word = ["x", "a1", "a2", "a1"]
+    for q in range(3, m + 1):
+        word += [f"a{q}", f"a{q - 1}"]
+    return word + ["x", "w", f"a{m}", "u", "w"]
+
+
+def test_interlocking_runs_match_the_reference():
+    """Both calls of the compensating scan, the one left of s_i (phase 2)
+    and the one right of s_j (phase 3), give the reference's answer."""
+    phases = set()
+    for m in range(2, 7):
+        word = interlocking(m)
+        ts = chain(word)
+        n = len(word)
+        for i in range(n + 1):
+            for j in range(i + 1, n + 1):
+                result = separator(ts, i, j)
+                assert as_triple(result) == reference_separator(ts, i, j), (m, i, j)
+                if result.enter_events:
+                    (exit_ev,) = result.exit_events
+                    phases.add(2 if word.index(exit_ev) < i else 3)
+    assert phases == {2, 3}
+
+
+def next_unique_masks(ts):
+    """Witness masks in order of first use, by the loop linear2_ssp ran
+    before its rows took their bounds from the unique-edge table: a
+    next-unique list, and a dict of phase-1 results by unique edge."""
+    index = second_occurrence_index(ts)
+    n = len(index)
+    next_unique = [n] * (n + 1)
+    for k in range(n - 1, -1, -1):
+        next_unique[k] = k if index[k] == -1 else next_unique[k + 1]
+    by_unique, masks = {}, {}
+    for i in range(n + 1):
+        k = next_unique[i]
+        found = [separator(ts, i, j) for j in range(i + 1, k + 1)]
+        if k < n:
+            if k not in by_unique:
+                by_unique[k] = separator(ts, k, k + 1)
+            found.append(by_unique[k])
+        for res in found:
+            if res.region is not None:
+                masks.setdefault(res.region.mask)
+    return list(masks)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(mixed_words, two_fold_words), st.booleans())
+def test_witness_order_matches_the_next_unique_loop(word, backwards):
+    ts = chain(word)
+    if backwards:
+        ts = reversed_declaration(ts)
+    verdict = linear2_ssp(ts)
+    masks = [region.mask for region in verdict.witnesses.regions]
+    assert masks == (next_unique_masks(ts) if verdict.holds else [])

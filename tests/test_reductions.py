@@ -306,6 +306,17 @@ def test_2grade2_shape():
     assert max(out.values()) == 2
 
 
+def test_2grade2_refuses_a_variable_not_in_three_clauses():
+    """The scaffolding formulas that linear3-essp builds from are refused
+    by name, not by an unpacking error inside a manifolder."""
+    with pytest.raises(ValueError, match=r"exactly three clauses; X0 occurs in 1$"):
+        build_2grade2_essp(phi1)
+    uneven = CubicMonotoneFormula([(0, 1, 2), (0, 2, 3), (0, 1, 3), (0, 2, 3)], check=False)
+    with pytest.raises(ValueError, match=r"exactly three clauses; X0 occurs in 4$"):
+        build_2grade2_essp(uneven)
+    assert build_linear3_essp(phi1).union.components
+
+
 def test_2grade2_soundness():
     positive = build_2grade2_essp(phi6)
     region = inhibitable(positive.union, *positive.key_query)
