@@ -349,24 +349,14 @@ def _query_sub_union(ts: TransitionSystem, event: str, state: str) -> TsUnion:
     ))
 
     # Copy of the input: event occurrences become the free copies e1, e3,
-    # e5 in chain order; the state grows s -h1-> p -h2-> s', with a former
-    # outgoing edge of s re-sourced at s'.
-    mid = name("p")
-    post = name(state + "+")
-    free = [ecopy[1], ecopy[3], ecopy[5]]
-    occurrence = 0
-    copy_edges = []
-    for src, ev, dst in ts.edges:
-        if ev == event:
-            ev = free[occurrence]
-            occurrence += 1
-        if src == state:
-            src = post
-        copy_edges.append((src, ev, dst))
-    copy_edges.extend([(state, h1, mid), (mid, h2, post)])
-    chain = _linear_chain(TransitionSystem.from_edges(ts.initial, copy_edges))
-    assert chain is not None, "copy gadget must stay a single chain"
-    sub.append(_chain_ts(ts.initial, chain[1], chain[0]))
+    # e5 in chain order; the state grows s -h1-> p -h2-> s', with the
+    # former outgoing edge of s leaving s'.
+    states, word = _linear_chain(ts)
+    free = iter([ecopy[1], ecopy[3], ecopy[5]])
+    word = [next(free) if ev == event else ev for ev in word]
+    k = states.index(state)
+    sub.append(_chain_ts(ts.initial, [*word[:k], h1, h2, *word[k:]],
+                         [*states[:k + 1], name("p"), name(state + "+"), *states[k + 1:]]))
     return make_union(sub)
 
 

@@ -37,9 +37,10 @@ of the cone, which it reads from the domains.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterable, Iterator, Mapping
 from heapq import heappop, heappush
-from itertools import compress
-from typing import Iterable, Iterator, Mapping, Optional
+from itertools import compress, islice
+from typing import Optional
 
 from .ts import _Index, _indexed, _linear_chain
 
@@ -336,10 +337,14 @@ class _Unsatisfiable(Exception):
 class _Solver:
     """Backtracking search over membership/signature domains.
 
-    Edges of globally-unique events are excluded from propagation unless
-    the constraint pins their signature: a single-occurrence event absorbs
-    any membership difference, so such edges never constrain anything and
-    their signature is derived from the solution afterwards.
+    A solve allocates its domains and its queue flags, and reads every
+    other array from the index.  Edges of globally-unique events are
+    excluded from propagation: a single-occurrence event absorbs any
+    membership difference, so such edges never constrain anything and
+    their signature is derived from the solution afterwards.  A ±1 pin
+    decides both ends of the event's single edge while seeding; only a 0
+    pin leaves an edge that must keep propagating, and only then is the
+    index's ``active`` copied and patched.
 
     The trail holds domain changes only, each as (array, position, old
     value), so a branch is undone by replaying it back to the frame's mark.
@@ -355,15 +360,28 @@ class _Solver:
 
     def __init__(self, sys, constraint: RegionConstraint, deadline=None):
         idx = _indexed(sys)
-        for name in constraint.membership:
-            if name not in idx.state_pos:
-                raise KeyError(f"unknown state {name!r} in constraint")
-        for name in constraint.signature:
-            if name not in idx.event_pos:
-                raise KeyError(f"unknown event {name!r} in constraint")
         self.sys = sys
         self.idx = idx
         self.deadline = deadline
+        self.active = idx.active
+        # The constraint as the (kind, position, bits) assignments that seed
+        # the search, memberships first.
+        pins = self.pins = []
+        for name, val in constraint.membership.items():
+            if name not in idx.state_pos:
+                raise KeyError(f"unknown state {name!r} in constraint")
+            pins.append(("state", idx.state_pos[name], 0b10 if val else 0b01))
+        for name, val in constraint.signature.items():
+            if name not in idx.event_pos:
+                raise KeyError(f"unknown event {name!r} in constraint")
+            e = idx.event_pos[name]
+            edges = idx.event_edges[e]
+            if val == 0 and len(edges) == 1:
+                if self.active is idx.active:
+                    self.active = bytearray(idx.active)
+                self.active[edges[0]] = 1
+            # An edgeless event has signature 0, so a ±1 pin leaves it no value.
+            pins.append(("event", e, _SIG_BIT[val] & (_SIG_ALL if edges else 0b010)))
         self.mem = bytearray(b"\x03") * len(idx.states)
         self.sig = bytearray(b"\x07") * len(idx.events)
         self.queue: deque[int] = deque()
@@ -375,28 +393,6 @@ class _Solver:
         # The search's frames, [trail mark, kind, var, values, next value
         # index]; ``None`` while seeding, which so stops at closure.
         self.stack: Optional[list[list]] = None
-
-        # Events eligible for branching: repeated events and pinned ones.
-        self.active = bytearray(idx.active)
-        self.branchable = bytearray(idx.repeated)
-        for ev in constraint.signature:
-            e = idx.event_pos[ev]
-            if not self.branchable[e]:
-                self.branchable[e] = 1
-                for eid in idx.event_edges[e]:
-                    self.active[eid] = 1
-
-        self.failed = False
-        try:
-            for st, val in constraint.membership.items():
-                self._propagate("state", idx.state_pos[st], 0b01 if val == 0 else 0b10)
-            for ev, val in constraint.signature.items():
-                e = idx.event_pos[ev]
-                if val and not idx.event_edges[e]:
-                    raise _Unsatisfiable  # an edgeless event has signature 0
-                self._propagate("event", e, _SIG_BIT[val])
-        except _Unsatisfiable:
-            self.failed = True
 
     # -- propagation and descent -----------------------------------------
 
@@ -528,10 +524,10 @@ class _Solver:
 
     def _pick_free(self):
         """Branch variable outside the cone: free events, then states."""
-        sig, branchable = self.sig, self.branchable
+        sig, repeated = self.sig, self.idx.repeated
         for e in range(len(sig)):
             d = sig[e]
-            if branchable[e] and d & (d - 1):
+            if repeated[e] and d & (d - 1):
                 return ("event", e)
         for s, m in enumerate(self.mem):
             if m == _MEM_ALL:
@@ -557,9 +553,9 @@ class _Solver:
             mask = int(mem.translate(_MEMBER_DIGITS)[::-1], 2)
         return Region(self.sys, mask, tuple(members))
 
-    def solutions(self, limit=None, first_only=False):
-        """DFS over branch choices; yields at most ``limit`` regions,
-        deterministically.
+    def solutions(self, first_only=False):
+        """DFS over branch choices, seeded from the constraint; yields
+        regions deterministically.
 
         The kernel descends through the cone; this loop backtracks, tries
         each frame's next value and, outside the cone, branches on free
@@ -568,11 +564,11 @@ class _Solver:
         extension (undecided states outside, undecided events obeying) is
         a solution.
         """
-        if limit is not None and limit < 0:
-            raise ValueError(f"limit must be non-negative, got {limit}")
-        if self.failed or limit == 0:
+        try:  # seeding stops at closure: no frame is pushed yet
+            for pin in self.pins:
+                self._propagate(*pin)
+        except _Unsatisfiable:
             return
-        count = 0
         deadline, trail = self.deadline, self.trail
         self.stack = stack = []
         # Restricting a domain to all of its values changes nothing: the
@@ -587,8 +583,7 @@ class _Solver:
                 pick = None if first_only else self._pick_free()
                 if pick is None:
                     yield self._solution()
-                    count += 1
-                    if first_only or count == limit:
+                    if first_only:
                         return
                 else:
                     kind, var = pick
@@ -628,9 +623,7 @@ def solve_region(
     before every branch; whatever it raises aborts the solve.
     """
     solver = _Solver(sys, _as_constraint(constraint), deadline)
-    for region in solver.solutions(first_only=True):
-        return region
-    return None
+    return next(solver.solutions(first_only=True), None)
 
 
 def solve_all_regions(
@@ -639,7 +632,9 @@ def solve_all_regions(
     """All regions satisfying the constraint, deterministically ordered;
     the first ``limit`` of them if given (``ValueError`` if negative)."""
     solver = _Solver(sys, _as_constraint(constraint))
-    return list(solver.solutions(limit=limit))
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be non-negative, got {limit}")
+    return list(islice(solver.solutions(), limit))
 
 
 def enumerate_regions(sys, cap: int = 22) -> list[Region]:

@@ -187,8 +187,9 @@ def check_morphism(ts: TransitionSystem, regions: Sequence[Region]) -> bool:
     reachability graph of the synthesized net?
 
     Every arc s -e-> s' must map to an arc between the corresponding
-    markings, and every reachable marking must be hit.  This holds exactly
-    when the region set is an ESSP witness.
+    markings, and every reachable marking must be hit.  An ESSP witness
+    set gives such a morphism; the converse fails, so a True answer does
+    not make the set a witness.
     """
     net = synthesize(ts, regions)
     rg = reachability_graph(net)

@@ -277,6 +277,17 @@ def test_linear3_ssp_name_freshening():
     assert has_essp(ts).holds == has_ssp(joined).holds
 
 
+def test_linear3_ssp_numbers_occurrences_in_chain_order():
+    """Equal inputs give the same instance: the free copies of the queried
+    event follow the chain, not the order the edges are listed in."""
+    ts = TransitionSystem.chain(list("abacab"))
+    reversed_edges = TransitionSystem(ts.states, ts.events, ts.initial, ts.edges[::-1])
+    assert ts == reversed_edges
+    forwards, backwards = build_linear3_ssp(ts), build_linear3_ssp(reversed_edges)
+    assert serialize_union(forwards.union) == serialize_union(backwards.union)
+    assert forwards.key_pairs == backwards.key_pairs
+
+
 # -- 2-grade 2-fold ESSP -----------------------------------------------------
 
 

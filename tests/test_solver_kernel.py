@@ -15,8 +15,9 @@ and yields the same regions in the same order.
 Random deterministic systems and two-component unions of at most 12 states,
 some with an edgeless event and some with self-loops (R(s) = R(s) +
 sig(e)), are checked under random constraints.  Fixed instances cover a
-solve that backtracks, an event that backtracking reopens, and both ways
-``_solution`` reads the members.
+solve that backtracks, an event that backtracking reopens, both ways
+``_solution`` reads the members, and the one constraint for which a solve
+copies an index array: a once-occurring event pinned to 0.
 """
 
 import random
@@ -323,6 +324,18 @@ def _found(regions):
     return [(r.mask, r._members) for r in regions]
 
 
+def _seeded(solver) -> bool:
+    """Run seeding, the search's first step, on its own: propagate each of
+    the constraint's assignments to closure, with no frame pushed.  True
+    unless the assignments conflict."""
+    try:
+        for pin in solver.pins:
+            solver._propagate(*pin)
+    except _Unsatisfiable:
+        return False
+    return True
+
+
 # -- the kernel against the reference ----------------------------------------
 
 @EXAMPLES
@@ -330,8 +343,8 @@ def _found(regions):
 def test_seeding_matches_the_reference(sys_obj, data):
     constraint = _constraint(data, sys_obj)
     solver, reference = _Solver(sys_obj, constraint), ReferenceSolver(sys_obj, constraint)
-    assert solver.failed == reference.failed
-    if not solver.failed:  # a failed seeding stops wherever it found the conflict
+    assert _seeded(solver) != reference.failed
+    if not reference.failed:  # a failed seeding stops wherever it found the conflict
         assert solver.mem == reference.mem
         assert solver.sig == reference.sig
         assert bytearray(d != 0b111 for d in solver.sig) == reference.touched
@@ -401,10 +414,9 @@ class _CheckedSolver(_Solver):
 
 
 def _checked_search(sys_obj, constraint, first_only):
-    solver = _CheckedSolver.__new__(_CheckedSolver)  # seeding pushes already
-    with pytest.MonkeyPatch.context() as patch:
+    solver = _CheckedSolver(sys_obj, constraint)
+    with pytest.MonkeyPatch.context() as patch:  # the search seeds, and so pushes, first
         patch.setattr(regions, "heappush", solver.push)
-        solver.__init__(sys_obj, constraint)
         return solver, list(solver.solutions(first_only=first_only))
 
 
@@ -529,3 +541,35 @@ def test_solution_reads_the_members_from_the_trail_or_the_domains(ts, constraint
     expected = list(ReferenceSolver(ts, constraint).solutions(first_only=True))
     assert _found(found) == _found(expected)
     assert found[0]._members == tuple(i for i in range(300) if found[0].mask >> i & 1)
+
+
+# -- what a solve copies --------------------------------------------------------
+
+def test_a_once_occurring_event_pinned_to_zero_carries_a_decided_end():
+    """In s0 -a-> s1 -u-> s2 -a-> s3 the pin u = 0 meets an open edge, and
+    s2 is decided only by the branch on a; the edge of u, which the index
+    leaves inactive, must then decide s1 too."""
+    ts = TransitionSystem.chain(["a", "u", "a"])
+    constraint = RegionConstraint(membership={"s3": 1}, signature={"u": 0})
+    solver = _Solver(ts, constraint)
+    found = list(solver.solutions(first_only=True))
+    assert found[0].members == ("s0", "s1", "s2", "s3") and found[0].sig("u") == 0
+    expected = list(ReferenceSolver(ts, constraint).solutions(first_only=True))
+    assert _found(found) == _found(expected)
+    assert _found(solve_all_regions(ts, constraint)) == _found(
+        ReferenceSolver(ts, constraint).solutions())
+    idx = _indexed(ts)  # the patch is the solver's own
+    assert solver.active is not idx.active and not idx.active[1] and solver.active[1]
+
+
+@pytest.mark.parametrize("constraint", [
+    RegionConstraint(membership={"s1": 1, "s3": 0}),  # an SSP query
+    RegionConstraint(membership={"s3": 0}, signature={"a": -1}),  # ESSP, a repeated event
+    RegionConstraint(membership={"s0": 0}, signature={"u": -1}),  # ESSP, a once-occurring one
+])
+def test_sweep_constraints_copy_no_index_array(constraint):
+    ts = TransitionSystem.chain(["a", "u", "a"])
+    solver = _Solver(ts, constraint)
+    assert solver.active is _indexed(ts).active
+    found = list(solver.solutions(first_only=True))
+    assert _found(found) == _found(ReferenceSolver(ts, constraint).solutions(first_only=True))

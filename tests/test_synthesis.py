@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ensynth.properties import has_essp, is_feasible
+from ensynth.properties import has_essp, is_essp_witness, is_feasible
 from ensynth.regions import Region, enumerate_regions
 from ensynth.synthesis import (
     ElementaryNetSystem,
@@ -119,6 +119,15 @@ def test_essp_witness_gives_morphism_and_language():
         assert check_morphism(ts, regions), ts
         rg = reachability_graph(synthesize(ts, regions))
         assert language_equal(ts, rg.ts), ts
+
+
+def test_morphism_does_not_make_an_essp_witness():
+    """The empty and the full region give every state the same marking, and
+    a has no place, so the morphism holds; neither region inhibits a at s1."""
+    ts = single_edge()
+    regions = [Region.from_members(ts, []), Region.from_members(ts, ["s0", "s1"])]
+    assert check_morphism(ts, regions)
+    assert not is_essp_witness(ts, regions)
 
 
 def test_linear_essp_witness_forces_isomorphism():
