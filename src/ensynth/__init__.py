@@ -24,7 +24,6 @@ from .regions import (
     RegionConstraint,
     aggregate_signature,
     check_region,
-    complement,
     enumerate_regions,
     format_region,
     solve_all_regions,

@@ -23,7 +23,6 @@ from .properties import (
 )
 from .regions import Region, enumerate_regions, format_region
 from .ts import (
-    ParseError,
     TransitionSystem,
     _content_lines,
     classify,
@@ -36,8 +35,11 @@ from .unions import TsUnion, _terminal_lines, join, parse_union, serialize_union
 __all__ = ["main", "run", "export_dot"]
 
 
-class _InputError(Exception):
-    pass
+class _InputError(ValueError):
+    """An unreadable or unwritable file, or an input a command refuses.
+
+    A ``ValueError``, so that ``parse_union`` reports an unreadable
+    component file on its ``component`` line like any other error in it."""
 
 
 def _read(path: str) -> str:
@@ -393,7 +395,7 @@ def run(argv: list[str] | None = None) -> int:
         parser.error("--timeout must be positive")
     try:
         return args.fn(args)
-    except (ParseError, _InputError, ValueError, KeyError) as exc:
+    except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TimeoutExceeded as exc:

@@ -21,7 +21,7 @@ from typing import Iterable, Optional, Sequence
 
 from .regions import Region
 from .ts import ParseError, TransitionSystem, _content_lines, _linear_chain, classify
-from .unions import JoinPlan, TsUnion, default_join_plan, join, make_union, rectify
+from .unions import JoinPlan, TsUnion, default_join_plan, make_union, rectify
 
 __all__ = [
     "CubicMonotoneFormula",
@@ -47,7 +47,7 @@ class CubicMonotoneFormula:
     (e.g. a single clause for basic-union tests) can be built.
     """
 
-    __slots__ = ("clauses", "checked", "__weakref__")
+    __slots__ = ("clauses", "checked")
 
     def __init__(self, clauses: Iterable[Iterable[int]], check: bool = True):
         normalized = []
@@ -161,10 +161,6 @@ class GadgetInstance:
     join_plan: JoinPlan
     key_query: Optional[tuple[str, str]] = None
     key_pairs: tuple[tuple[str, str], ...] = ()
-    source: object = None
-
-    def joined(self) -> TransitionSystem:
-        return join(self.union, self.join_plan)
 
 
 # -- linear 3-fold ESSP construction --------------------------------------
@@ -243,7 +239,6 @@ def build_linear3_essp(formula: CubicMonotoneFormula) -> GadgetInstance:
         union=union,
         join_plan=default_join_plan(union),
         key_query=("k", "m6"),
-        source=formula,
     )
 
 
@@ -393,7 +388,6 @@ def build_linear3_ssp(ts: TransitionSystem) -> GadgetInstance:
         union=union,
         join_plan=default_join_plan(union),
         key_pairs=tuple(key_pairs),
-        source=ts,
     )
 
 
@@ -501,7 +495,6 @@ def build_2grade2_essp(formula: CubicMonotoneFormula) -> GadgetInstance:
         union=union,
         join_plan=JoinPlan(tuple(terminals)),
         key_query=("k", "h_0_8"),
-        source=formula,
     )
 
 
@@ -603,5 +596,4 @@ def build_2grade2_ssp(ts: TransitionSystem) -> GadgetInstance:
         union=union,
         join_plan=JoinPlan(tuple(terminals)),
         key_pairs=tuple(key_pairs),
-        source=ts,
     )

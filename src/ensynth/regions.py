@@ -48,7 +48,6 @@ __all__ = [
     "Region",
     "RegionConstraint",
     "check_region",
-    "complement",
     "enumerate_regions",
     "solve_region",
     "solve_all_regions",
@@ -215,18 +214,6 @@ class Region:
     def sig(self, event: str) -> int:
         return self.signature[event]
 
-    @property
-    def exit_events(self) -> tuple[str, ...]:
-        return tuple(e for e, v in self.signature.items() if v == -1)
-
-    @property
-    def enter_events(self) -> tuple[str, ...]:
-        return tuple(e for e, v in self.signature.items() if v == 1)
-
-    @property
-    def obey_events(self) -> tuple[str, ...]:
-        return tuple(e for e, v in self.signature.items() if v == 0)
-
     def complement(self) -> "Region":
         idx = _indexed(self.system)
         other = Region(self.system, ((1 << len(idx.states)) - 1) ^ self.mask)
@@ -292,10 +279,6 @@ def check_region(sys, members: Iterable[str]) -> Optional[dict[str, int]]:
         return region.signature
     except ValueError:
         return None
-
-
-def complement(region: Region) -> Region:
-    return region.complement()
 
 
 class RegionConstraint:

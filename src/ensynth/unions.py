@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 from .regions import Region, _witness_regions
 from .ts import (
     Edge, ParseError, TransitionSystem, _header_lines, _linear_chain, _read_ts, _System,
-    _write_ts, classify, parse_ts,
+    _write_ts, parse_ts,
 )
 
 __all__ = [
@@ -73,10 +73,6 @@ class TsUnion(_System):
 
     def _component_ids(self) -> tuple[int, ...]:
         return tuple(map(self.component_of.__getitem__, self.states))
-
-    @property
-    def manifoldness(self) -> int:
-        return classify(self).manifoldness
 
     def __eq__(self, other):
         if not isinstance(other, TsUnion):

@@ -273,7 +273,7 @@ def test_criterion_10_linear3_ssp_end_to_end():
         assert all(len(ts.states) <= 5 for ts in corpus)
         for ts in corpus:
             instance = build_linear3_ssp(ts)
-            joined = instance.joined()
+            joined = join(instance.union, instance.join_plan)
             source_essp = has_essp(ts).holds
             assert source_essp == has_ssp(joined, timeout=600).holds, ts
             # the structural facts hold for every separable key pair, also

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import ensynth
-from ensynth.cli import export_dot, run
+from ensynth.cli import export_dot, main, run
 from ensynth.reductions import CubicMonotoneFormula, build_2grade2_essp, build_linear3_essp
 from ensynth.regions import Region, enumerate_regions
 from ensynth.synthesis import ElementaryNetSystem, synthesize
@@ -547,3 +547,77 @@ def test_synthesize_feasible_timeout_exits_3(files, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "timeout: 0 of 522753 queries checked\n"
+
+
+def test_synthesize_feasible_refuses_an_infeasible_input(files, capsys):
+    (files / "aa.ts").write_text(serialize_ts(TransitionSystem.chain(["a", "a"])))
+    net_path = files / "aa.ens"
+    code = run(["synthesize", "--witness", "feasible", str(files / "aa.ts"),
+                "--out", str(net_path)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "not feasible: states (s0, s1)\n")
+    assert not net_path.exists()
+
+
+# Inputs that each command refuses, and the error it reports for them.
+BAD_INPUTS = {
+    "extra.union": ".union\ncomponent A x y\n",
+    "twice.union":
+        ".union\ncomponent A\ninitial a\nedge a x b\nend\ncomponent A\ninitial c\nend\n",
+    "short.cnf3": "clause 1 2\n",
+    "names.cnf3": "clause a b c\n",
+    "negative.cnf3": "clause 0 1 -2\n",
+    "repeated.cnf3": "clause 0 1 2\n" * 3,
+    "empty.cnf3": "",
+    "branching.ts": ".ts\ninitial s0\nedge s0 a s1\nedge s0 b s2\n",
+    "single.ts": ".ts\ninitial s0\n",
+}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check-ssp", "extra.union"], "line 2: component takes a name and optional path"),
+    (["check-ssp", "twice.union"], "line 6: duplicate component name 'A'"),
+    (["models", "short.cnf3"], "line 1: expected 'clause <v> <v> <v>'"),
+    (["models", "names.cnf3"], "line 1: clause variables must be integers"),
+    (["models", "negative.cnf3"], "clause (-2, 0, 1) has invalid variable indices"),
+    (["models", "repeated.cnf3"], "clauses must be pairwise distinct"),
+    *((["reduce", "--construction", name, "--in", "empty.cnf3"],
+       "the construction needs at least one clause")
+      for name in ("linear3-essp", "2grade2-essp")),
+    *((["reduce", "--construction", name, "--in", "branching.ts"],
+       "the construction expects a linear 3-fold input")
+      for name in ("linear3-ssp", "2grade2-ssp")),
+    (["reduce", "--construction", "linear3-ssp", "--in", "single.ts"],
+     "input admits no (event, state) separation queries"),
+])
+def test_bad_inputs_exit_2_with_their_message(tmp_path, capsys, argv, message):
+    for name, text in BAD_INPUTS.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / arg) if arg in BAD_INPUTS else arg for arg in argv]
+    if argv[0] == "reduce":
+        argv += ["--out", str(tmp_path / "out")]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+def test_an_unreadable_component_file_is_reported_on_its_line(files, capsys):
+    (files / "lost.union").write_text(".union\ncomponent A missing.ts\n")
+    assert run(["check-ssp", str(files / "lost.union")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: line 2: missing.ts: cannot read {files / 'missing.ts'}: "
+                            "No such file or directory\n")
+
+
+def test_export_dot_refuses_other_objects():
+    with pytest.raises(ValueError, match="export_dot accepts a TransitionSystem or an"):
+        export_dot(42)
+
+
+def test_main_exits_with_the_code_of_run(files, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["ensynth", "check-ssp", str(files / "abab.ts")])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 1

@@ -23,6 +23,7 @@ from corpus import linear3_corpus, random_deterministic_ts, small_ts_corpus
 def test_master_is_admissible(master):
     report = validate(master)
     assert report.ok
+    assert str(report) == "valid"
     assert classify(master) == TsClass(manifoldness=3, degree=1, linear=True)
     assert linear_word(master) == ["k", "z0", "o0", "k", "h", "z0", "v1", "k"]
 

@@ -12,6 +12,7 @@ from ensynth.linear2 import linear2_ssp
 from ensynth.properties import (
     SeparationQuery,
     TimeoutExceeded,
+    WitnessMap,
     _Deadline,
     has_essp,
     has_ssp,
@@ -98,6 +99,16 @@ def test_witness_maps_answer_every_query():
         else:
             v = region.sig(q.a)
             assert (v == -1 and q.b not in region) or (v == 1 and q.b in region)
+
+
+def test_witness_map_reads_entering_regions_and_misses_with_key_error():
+    ts = TransitionSystem.chain(["a", "b"])
+    entering = Region.from_members(ts, ["s1", "s2"])  # a enters it
+    witnesses = WitnessMap(ts, ("essp",), [entering])
+    assert witnesses[SeparationQuery.event_state("a", "s1")] is entering
+    verdict = is_feasible(TransitionSystem.chain(["a", "a"]))
+    with pytest.raises(KeyError):
+        verdict.witnesses[verdict.counterexample]
 
 
 def test_essp_exhaustive_mode():

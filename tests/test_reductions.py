@@ -17,7 +17,7 @@ from ensynth.reductions import (
 )
 from ensynth.regions import RegionConstraint, check_region, enumerate_regions, solve_all_regions
 from ensynth.ts import TransitionSystem, classify, linear_word, validate
-from ensynth.unions import make_union, serialize_union
+from ensynth.unions import join, make_union, serialize_union
 
 from corpus import PHI4, PHI6
 
@@ -94,6 +94,9 @@ def test_model_oracle():
     assert frozenset({0, 4}) in models
     assert all(is_one_in_three_model(phi6, m) for m in models)
     assert find_one_in_three_models(CubicMonotoneFormula([])) == [frozenset()]
+    too_wide = CubicMonotoneFormula([(0, 1, v) for v in range(2, 27)], check=False)
+    with pytest.raises(ValueError, match="capped at 24 variables"):
+        find_one_in_three_models(too_wide)
 
 
 # -- linear 3-fold ESSP -----------------------------------------------------
@@ -162,6 +165,9 @@ def test_key_region_construction_matches_solver():
     assert len(solutions) == len(find_one_in_three_models(phi6))
     with pytest.raises(ValueError):
         build_key_region_linear3(phi6, {0, 1}, union=instance.union)
+    # the other model, {0, 5}, puts its variable third in clauses 3-5
+    third = build_key_region_linear3(phi6, {0, 5}, union=instance.union)
+    assert third != region and any(r.mask == third.mask for r in solutions)
 
 
 def test_translator_template_b_extends_c():
@@ -174,7 +180,7 @@ def test_translator_template_b_extends_c():
 
 def test_linear3_essp_joined_class():
     instance = build_linear3_essp(phi6)
-    joined = instance.joined()
+    joined = join(instance.union, instance.join_plan)
     assert validate(joined).ok
     cls = classify(joined)
     assert (cls.manifoldness, cls.degree, cls.linear) == (3, 1, True)
@@ -245,7 +251,7 @@ def test_linear3_ssp_equivalence_small():
                  ["a", "b", "a"], ["a", "a", "b"]):
         ts = TransitionSystem.chain(word)
         instance = build_linear3_ssp(ts)
-        joined = instance.joined()
+        joined = join(instance.union, instance.join_plan)
         assert validate(joined).ok
         cls = classify(joined)
         assert cls.linear and cls.manifoldness <= 3
@@ -272,7 +278,7 @@ def test_linear3_ssp_name_freshening():
         "m0", [("m0", "v0", "m1"), ("m1", "h1", "p")]
     )
     instance = build_linear3_ssp(ts)
-    joined = instance.joined()
+    joined = join(instance.union, instance.join_plan)
     assert validate(joined).ok
     assert has_essp(ts).holds == has_ssp(joined).holds
 
@@ -296,7 +302,7 @@ def test_2grade2_shape():
     instance = build_2grade2_essp(phi6)
     union = instance.union
     assert len(union.components) == 1 + 14 * m + 4 * m + m + 3 * m
-    assert union.manifoldness == 2
+    assert classify(union).manifoldness == 2
     assert instance.key_query == ("k", "h_0_8")
     # the published terminal choices
     terminals = instance.join_plan.terminals
@@ -305,7 +311,7 @@ def test_2grade2_shape():
     assert terminals[1 + 14 * m] == "b_0_1"
     assert terminals[1 + 18 * m] == "x_0_5"
     assert terminals[1 + 19 * m: 1 + 19 * m + 3] == ("t_0_0_5", "t_0_1_4", "t_0_2_4")
-    joined = instance.joined()
+    joined = join(instance.union, instance.join_plan)
     report = validate(joined)
     assert report.ok
     assert classify(joined).manifoldness == 2
@@ -377,6 +383,7 @@ def test_2grade2_key_region_construction():
         RegionConstraint(membership={"h_0_8": 0}, signature={"k": -1}),
     )
     assert any(r.mask == region.mask for r in solutions)
+    assert build_key_region_2grade2(phi6, {0, 4}).mask == region.mask
     with pytest.raises(ValueError):
         build_key_region_2grade2(phi6, set(), union=instance.union)
 
@@ -411,7 +418,7 @@ def test_2grade2_ssp_master_shape(master):
     modified = instance.union.components[0]
     word = linear_word(modified)
     assert word == ["k.0", "z0", "o0", "k.1", "h", "z0", "v1", "k.2"]
-    joined = instance.joined()
+    joined = join(instance.union, instance.join_plan)
     assert validate(joined).ok
     cls = classify(joined)
     assert cls.manifoldness == 2 and cls.degree == 2

@@ -5,7 +5,6 @@ from ensynth.regions import (
     RegionConstraint,
     aggregate_signature,
     check_region,
-    complement,
     enumerate_regions,
     format_region,
     solve_all_regions,
@@ -35,7 +34,7 @@ def test_check_region_rejects_inconsistent(master):
 
 def test_complement(master):
     full = Region.from_members(master, master.states)
-    empty = complement(full)
+    empty = full.complement()
     assert empty.members == ()
     assert all(v == 0 for v in empty.signature.values())
 
@@ -202,3 +201,14 @@ def test_restrict_projects_onto_component(master):
     assert part.system is master
     assert set(part.members) == {"m0", "m3", "m7"}
     assert part.sig("k") == -1
+
+
+def test_solve_region_refuses_a_plain_mapping():
+    ts = TransitionSystem.chain(["a"])
+    with pytest.raises(TypeError, match="expected a RegionConstraint or None"):
+        solve_region(ts, {"s0": 1})
+
+
+def test_constraint_repr():
+    constraint = RegionConstraint({"s0": 1}, {"a": -1})
+    assert repr(constraint) == "RegionConstraint(membership={'s0': 1}, signature={'a': -1})"

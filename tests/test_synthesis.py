@@ -17,6 +17,7 @@ from ensynth.synthesis import (
 from ensynth.ts import Edge, ParseError, TransitionSystem
 
 from corpus import random_linear_ts, small_ts_corpus
+from test_system_protocol import raw_component
 
 
 def single_edge():
@@ -128,6 +129,30 @@ def test_morphism_does_not_make_an_essp_witness():
     regions = [Region.from_members(ts, []), Region.from_members(ts, ["s0", "s1"])]
     assert check_morphism(ts, regions)
     assert not is_essp_witness(ts, regions)
+
+
+def test_morphism_fails_on_a_marking_no_state_has():
+    """b fires at M(s0) = {p0, p1} too and reaches {p0}, which is no
+    state's marking."""
+    ts = TransitionSystem.chain(["a", "b"])
+    regions = [Region.from_members(ts, ["s0"]), Region.from_members(ts, ["s0", "s1"])]
+    assert frozenset({"p0"}) in reachability_graph(synthesize(ts, regions)).markings.values()
+    assert not check_morphism(ts, regions)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_component("s", 6), st.data())
+def test_every_edge_fires_between_the_markings_of_its_ends(ts, data):
+    """The lemma ``check_morphism`` rests on: in the net of any regions,
+    an edge s -e-> s' fires from the places holding s to exactly the
+    places holding s', on self-loops, nondeterministic edges and
+    unreachable states too."""
+    regions = data.draw(st.lists(st.sampled_from(enumerate_regions(ts)), max_size=6))
+    net = synthesize(ts, regions)
+    marking = {s: frozenset(p for p, r in zip(net.places, regions) if s in r)
+               for s in ts.states}
+    for src, e, dst in ts.edges:
+        assert fire(net, marking[src], e) == marking[dst]
 
 
 def test_linear_essp_witness_forces_isomorphism():

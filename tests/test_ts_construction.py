@@ -170,6 +170,7 @@ def faulty_definitions(draw):
 @given(faulty_definitions())
 @example((["s0"], ["e0"], "s0", [("xs", "y", "xt")]))
 @example((["s0"], ["e0"], "s0", [("s0", "y", "xt")]))
+@example(([], ["e0"], "s0", []))
 def test_constructor_matches_the_per_edge_reference(definition):
     expected = outcome(reference_build, *definition)
     assert outcome(TransitionSystem, *definition) == expected

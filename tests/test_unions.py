@@ -53,7 +53,7 @@ def test_shared_events_accumulate():
     a = chain(["x", "y"], "a")
     b = chain(["x"], "b")
     union = make_union([a, b])
-    assert union.manifoldness == 2
+    assert classify(union).manifoldness == 2
     assert union.events == ("x", "y")
 
 
@@ -80,6 +80,19 @@ def test_join_requires_terminals_for_nonlinear():
         join(union)
     joined = join(union, JoinPlan(("c1", None)))
     assert validate(joined).ok
+
+
+def test_join_refuses_a_plan_that_does_not_fit():
+    union = make_union([chain(["x"], "a"), chain(["y"], "b")])
+    with pytest.raises(ValueError, match="join plan does not match the number of components"):
+        join(union, JoinPlan(("a1",)))
+    with pytest.raises(ValueError, match="terminal 'b1' is not a state of component 0"):
+        join(union, JoinPlan(("b1", None)))
+
+
+def test_a_union_needs_a_component():
+    with pytest.raises(ValueError, match="a union needs at least one component"):
+        TsUnion([])
 
 
 def test_join_connector_freshness():
@@ -155,6 +168,14 @@ def test_lift_region_refuses_two_constrained_edges():
     extra = chain(["e", "u", "e"], "b")
     with pytest.raises(ValueError):
         lift_region(union, region, [extra])
+
+
+def test_lift_region_refuses_a_non_linear_extra():
+    union = make_union([chain(["e"], "a")])
+    region = Region.from_members(union, ["a0"])
+    cycle = TransitionSystem.from_edges("c0", [("c0", "x", "c1"), ("c1", "y", "c0")])
+    with pytest.raises(ValueError, match="region lifting requires linear extra components"):
+        lift_region(union, region, [cycle])
 
 
 def test_lift_region_validates_against_check(master):
@@ -271,6 +292,8 @@ def test_union_format_file_reference(tmp_path):
     assert names == ["A", "B"]
     assert union.components[1].states == ("q0", "q1")
     assert plan is None
+    with pytest.raises(ParseError, match="line 6: no loader for component file references"):
+        parse_union(text)
 
 
 def test_union_regions_match_enumeration():
