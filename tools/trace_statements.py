@@ -6,9 +6,12 @@ counts as reached when any line of its own (for a compound statement, its
 header; for a simple one, all of its lines) ran.  Docstrings and ``global``
 statements compile to no code and are not counted.
 
-Usage, from the repository root (extra arguments go to pytest)::
+Usage, from the repository root::
 
-    python tools/trace_statements.py [pytest args]
+    python tools/trace_statements.py
+
+It always runs the whole of ``tests/``: a subset leaves statements
+unreached that the rest of the suite reaches.
 
 It writes nothing into the repository: bytecode caching and pytest's cache
 are off, and Hypothesis keeps its database in a temporary directory.  Exit
@@ -28,6 +31,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "ensynth"
+
+PYTEST_ARGS = ["-q", "-p", "no:cacheprovider", "tests"]
 
 # (file, first line of the statement, stripped) -> why no test can reach it.
 ALLOWED = {
@@ -70,7 +75,7 @@ def statements(path: Path) -> list[tuple[int, set[int], str]]:
     return found
 
 
-def main(argv: list[str]) -> int:
+def main() -> int:
     files = {str(p): p for p in sorted(PACKAGE.glob("*.py"))}
     hits: dict[str, set[int]] = {f: set() for f in files}
 
@@ -90,7 +95,7 @@ def main(argv: list[str]) -> int:
         os.environ["HYPOTHESIS_STORAGE_DIRECTORY"] = store
         sys.settrace(calls)
         try:
-            status = pytest.main(["-q", "-p", "no:cacheprovider", *(argv or ["tests"])])
+            status = pytest.main(PYTEST_ARGS)
         finally:
             sys.settrace(None)
     if status != 0:
@@ -118,4 +123,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
