@@ -257,13 +257,10 @@ def _cmd_reduce(args) -> int:
         raise _InputError(f"cannot write {outdir}: {exc.strerror}") from exc
     stem = args.construction
     _write(outdir / f"{stem}.union", serialize_union(instance.union, instance.join_plan))
-    _write(outdir / f"{stem}.plan", "\n".join(_terminal_lines(instance.join_plan)) + "\n")
-    manifest = []
-    if instance.key_query:
-        manifest.append(f"inhibit {instance.key_query[0]} {instance.key_query[1]}")
-    for a, b in instance.key_pairs:
-        manifest.append(f"separate {a} {b}")
-    _write(outdir / f"{stem}.query", "\n".join(manifest) + "\n")
+    manifest = [f"inhibit {' '.join(instance.key_query)}"] if instance.key_query else []
+    manifest += [f"separate {a} {b}" for a, b in instance.key_pairs]
+    for suffix, lines in (("plan", _terminal_lines(instance.join_plan)), ("query", manifest)):
+        _write(outdir / f"{stem}.{suffix}", "".join(f"{line}\n" for line in lines))
     joined = join(instance.union, instance.join_plan)
     _write(outdir / f"{stem}.ts", serialize_ts(joined))
     print(f"wrote {stem}.union, {stem}.plan, {stem}.query, {stem}.ts to {outdir}")

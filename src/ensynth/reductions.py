@@ -16,12 +16,13 @@ output.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .regions import Region
 from .ts import ParseError, TransitionSystem, _content_lines, _linear_chain, classify
-from .unions import JoinPlan, TsUnion, default_join_plan, make_union, rectify
+from .unions import JoinPlan, TsUnion, default_join_plan, make_union, rectified_name, rectify
 
 __all__ = [
     "CubicMonotoneFormula",
@@ -156,7 +157,6 @@ class GadgetInstance:
     constructions).
     """
 
-    construction: str
     union: TsUnion
     join_plan: JoinPlan
     key_query: Optional[tuple[str, str]] = None
@@ -235,7 +235,6 @@ def build_linear3_essp(formula: CubicMonotoneFormula) -> GadgetInstance:
         components.extend(_translator(i, clause, "X{v}"))
     union = make_union(components)
     return GadgetInstance(
-        construction="linear3-essp",
         union=union,
         join_plan=default_join_plan(union),
         key_query=("k", "m6"),
@@ -256,7 +255,22 @@ def _translator_template(i: int, position: int) -> set[str]:
     return base  # third variable enters
 
 
-def _basic_key_members(m: int) -> list[str]:
+def _key_region(formula, model, union, build, basic_members) -> Region:
+    """``basic_members(m, model)`` plus each clause's translator template
+    for its model variable, as a region of ``union`` (``build``'s if None)."""
+    chosen = frozenset(model)
+    if not is_one_in_three_model(formula, chosen):
+        raise ValueError(f"{sorted(chosen)} is not a one-in-three model")
+    if union is None:
+        union = build(formula).union
+    members = basic_members(formula.m, chosen)
+    for i, clause in enumerate(formula.clauses):
+        (variable,) = chosen & set(clause)
+        members.extend(_translator_template(i, clause.index(variable)))
+    return Region.from_members(union, members)
+
+
+def _basic_key_members(m: int, model: frozenset[int]) -> list[str]:
     members = ["m0", "m3", "m7"]
     for j in range(6 * m):
         members.extend(f"f_{j}_{n}" for n in (1, 3, 5, 7))
@@ -269,22 +283,11 @@ def build_key_region_linear3(
     model: Iterable[int],
     union: TsUnion | None = None,
 ) -> Region:
-    """The witness region of the basic-plus-translator union for a model.
-
-    Assembles the unique basic-union region (all key copies exiting) with
-    one translator template per clause, chosen by the model variable of
-    that clause.  Raises when the subset is not a one-in-three model.
+    """Witness region inhibiting k at m6 assembled from a model: the unique
+    basic-union region (all key copies exiting) plus one translator
+    template per clause.  Raises when the subset is not a one-in-three model.
     """
-    chosen = frozenset(model)
-    if not is_one_in_three_model(formula, chosen):
-        raise ValueError(f"{sorted(chosen)} is not a one-in-three model")
-    if union is None:
-        union = build_linear3_essp(formula).union
-    members = _basic_key_members(formula.m)
-    for i, clause in enumerate(formula.clauses):
-        (variable,) = chosen & set(clause)
-        members.extend(_translator_template(i, clause.index(variable)))
-    return Region.from_members(union, members)
+    return _key_region(formula, model, union, build_linear3_essp, _basic_key_members)
 
 
 # -- linear 3-ESSP to linear 3-SSP ----------------------------------------
@@ -310,8 +313,11 @@ def _chain_ts(initial: str, word: Sequence[str], states: Sequence[str]) -> Trans
     return TransitionSystem.from_edges(initial, edges)
 
 
-def _query_sub_union(ts: TransitionSystem, event: str, state: str) -> TsUnion:
-    """Mapper, five duplicators, provider, enhanced copy for one (e, s) query.
+def _query_sub_union(
+    ts: TransitionSystem, event: str, state: str
+) -> tuple[TsUnion, tuple[str, str]]:
+    """Mapper, five duplicators, provider, enhanced copy for one (e, s)
+    query, and its key states, the mapper's initial state and e-successor.
 
     Every introduced state and event name is drawn through one freshness
     gate against the input's own names, so the copy component can carry
@@ -352,7 +358,7 @@ def _query_sub_union(ts: TransitionSystem, event: str, state: str) -> TsUnion:
     k = states.index(state)
     sub.append(_chain_ts(ts.initial, [*word[:k], h1, h2, *word[k:]],
                          [*states[:k + 1], name("p"), name(state + "+"), *states[k + 1:]]))
-    return make_union(sub)
+    return make_union(sub), (mapper_states[0], mapper_states[1])
 
 
 def build_linear3_ssp(ts: TransitionSystem) -> GadgetInstance:
@@ -372,19 +378,13 @@ def build_linear3_ssp(ts: TransitionSystem) -> GadgetInstance:
         for state in ts.states:
             if ts.has_edge(state, event):
                 continue
-            sub = _query_sub_union(ts, event, state)
-            mapper_initial = sub.components[0].initial
-            key_state = sub.components[0].successors(mapper_initial)[event]
-            rectified = rectify(sub, (event, state))
-            components.extend(rectified.components)
-            key_pairs.append(
-                (f"{event}:{state}:{mapper_initial}", f"{event}:{state}:{key_state}")
-            )
+            sub, pair = _query_sub_union(ts, event, state)
+            components.extend(rectify(sub, (event, state)).components)
+            key_pairs.append(tuple(rectified_name((event, state), x) for x in pair))
     if not components:
         raise ValueError("input admits no (event, state) separation queries")
     union = make_union(components)
     return GadgetInstance(
-        construction="linear3-ssp",
         union=union,
         join_plan=default_join_plan(union),
         key_pairs=tuple(key_pairs),
@@ -491,25 +491,13 @@ def build_2grade2_essp(formula: CubicMonotoneFormula) -> GadgetInstance:
         terminals.extend((f"t_{i}_0_5", f"t_{i}_1_4", f"t_{i}_2_4"))
     union = make_union(components)
     return GadgetInstance(
-        construction="2grade2-essp",
         union=union,
         join_plan=JoinPlan(tuple(terminals)),
         key_query=("k", "h_0_8"),
     )
 
 
-def build_key_region_2grade2(
-    formula: CubicMonotoneFormula,
-    model: Iterable[int],
-    union: TsUnion | None = None,
-) -> Region:
-    """Witness region inhibiting k at h_0_8 assembled from a model."""
-    chosen = frozenset(model)
-    if not is_one_in_three_model(formula, chosen):
-        raise ValueError(f"{sorted(chosen)} is not a one-in-three model")
-    if union is None:
-        union = build_2grade2_essp(formula).union
-    m = formula.m
+def _grade2_key_members(m: int, model: frozenset[int]) -> list[str]:
     members: list[str] = []
     for j in range(14 * m):
         members.extend((f"h_{j}_0", f"h_{j}_4"))
@@ -518,12 +506,18 @@ def build_key_region_2grade2(
         members.extend((f"b_{q}_0", f"b_{q}_2"))
     for i in range(m):
         members.extend(f"x_{i}_{n}" for n in (3, 4, 5))
-        if i not in chosen:
+        if i not in model:
             members.extend(f"x_{i}_{n}" for n in (0, 1, 2))
-    for i, clause in enumerate(formula.clauses):
-        (variable,) = chosen & set(clause)
-        members.extend(_translator_template(i, clause.index(variable)))
-    return Region.from_members(union, members)
+    return members
+
+
+def build_key_region_2grade2(
+    formula: CubicMonotoneFormula,
+    model: Iterable[int],
+    union: TsUnion | None = None,
+) -> Region:
+    """Witness region inhibiting k at h_0_8 assembled from a model."""
+    return _key_region(formula, model, union, build_2grade2_essp, _grade2_key_members)
 
 
 # -- linear 3-fold SSP to 2-grade 2-fold SSP --------------------------------
@@ -539,37 +533,22 @@ def build_2grade2_ssp(ts: TransitionSystem) -> GadgetInstance:
     cls = classify(ts)
     if not cls.linear or cls.manifoldness > 3:
         raise ValueError("the construction expects a linear 3-fold input")
-    counts: dict[str, int] = {}
-    for _, ev, _ in ts.edges:
-        counts[ev] = counts.get(ev, 0) + 1
-    triple_events = [e for e in ts.events if counts.get(e, 0) == 3]
-
+    counts = Counter(ev for _, ev, _ in ts.edges)
     name = _namer(ts)
-
-    copies: dict[str, list[str]] = {}
-    accordance: dict[str, list[str]] = {}
-    dup_states: dict[str, list[str]] = {}
-    for e in triple_events:
-        copies[e] = [name(f"{e}.{n}") for n in range(3)]
-        accordance[e] = [name(f"a.{e}.{n}") for n in range(2)]
-        dup_states[e] = [name(f"d_{e}_{n}") for n in range(6)]
-
-    occurrence: dict[str, int] = {e: 0 for e in triple_events}
-    edges = []
-    for src, ev, dst in ts.edges:
-        if ev in copies:
-            edges.append((src, copies[ev][occurrence[ev]], dst))
-            occurrence[ev] += 1
-        else:
-            edges.append((src, ev, dst))
-    modified = TransitionSystem.from_edges(ts.initial, edges)
-
-    components = [modified]
-    key_pairs: list[tuple[str, str]] = []
-    for e in triple_events:
-        d = dup_states[e]
-        e0, e1, e2 = copies[e]
-        a0, a1 = accordance[e]
+    # per 3-fold event: its copies, its accordance events, its duplicator's states
+    gadgets = {
+        e: ([name(f"{e}.{n}") for n in range(3)],
+            [name(f"a.{e}.{n}") for n in range(2)],
+            [name(f"d_{e}_{n}") for n in range(6)])
+        for e in ts.events if counts[e] == 3
+    }
+    copies = {e: iter(gadget[0]) for e, gadget in gadgets.items()}
+    components = [TransitionSystem.from_edges(ts.initial, [
+        (src, next(copies[ev]) if ev in copies else ev, dst) for src, ev, dst in ts.edges
+    ])]
+    # the join runs from the chain's last state, then from each duplicator's sink
+    terminals = [_linear_chain(ts)[0][-1]]
+    for (e0, e1, e2), (a0, a1), d in gadgets.values():
         components.append(
             TransitionSystem.from_edges(
                 d[0],
@@ -584,16 +563,9 @@ def build_2grade2_ssp(ts: TransitionSystem) -> GadgetInstance:
                 ],
             )
         )
-        key_pairs.extend([(d[0], d[1]), (d[2], d[3]), (d[4], d[5])])
-    union = make_union(components)
-    # the modified chain keeps its natural terminal; each duplicator ends
-    # at its sink state
-    terminals = list(default_join_plan(union).terminals)
-    for pos, e in enumerate(triple_events, start=1):
-        terminals[pos] = dup_states[e][5]
+        terminals.append(d[5])
     return GadgetInstance(
-        construction="2grade2-ssp",
-        union=union,
+        union=make_union(components),
         join_plan=JoinPlan(tuple(terminals)),
-        key_pairs=tuple(key_pairs),
+        key_pairs=tuple((d[n], d[n + 1]) for *_, d in gadgets.values() for n in (0, 2, 4)),
     )

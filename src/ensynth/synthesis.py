@@ -13,7 +13,7 @@ report instead of being rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .regions import Region, _witness_regions
 from .ts import (
@@ -182,7 +182,7 @@ def reachability_graph(net: ElementaryNetSystem) -> ReachabilityGraph:
     return ReachabilityGraph(ts, validate(ts), {names[m]: m for m in order})
 
 
-def check_morphism(ts: TransitionSystem, regions: Sequence[Region]) -> bool:
+def check_morphism(ts: TransitionSystem, regions: Iterable[Region]) -> bool:
     """Is s -> {regions containing s} a surjective morphism onto the
     reachability graph of the synthesized net?
 
@@ -193,6 +193,7 @@ def check_morphism(ts: TransitionSystem, regions: Sequence[Region]) -> bool:
     marking is some state's.  An ESSP witness set gives such a morphism;
     the converse fails, so a True answer does not make the set a witness.
     """
+    regions = list(regions)
     net = synthesize(ts, regions)
     places_of: list[list[str]] = [[] for _ in ts.states]
     for place, region in zip(net.places, regions):

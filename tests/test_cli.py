@@ -9,7 +9,8 @@ import pytest
 
 import ensynth
 from ensynth.cli import export_dot, main, run
-from ensynth.reductions import CubicMonotoneFormula, build_2grade2_essp, build_linear3_essp
+from ensynth.reductions import (
+    CubicMonotoneFormula, build_2grade2_essp, build_linear3_essp, serialize_cnf3)
 from ensynth.regions import Region, enumerate_regions
 from ensynth.synthesis import ElementaryNetSystem, synthesize
 from ensynth.ts import TransitionSystem, serialize_ts
@@ -534,6 +535,71 @@ def test_check_ssp_output_is_pinned_on_a_2grade2_instance(files, capsys):
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == G2_GOLDEN
     assert len(json.loads(out)["witnesses"]) == 341
+
+
+# SHA-256 of each file ``reduce`` writes, per construction: PHI4 for the
+# ESSP constructions, the linear 3-fold chain a b a c a b for the SSP ones.
+REDUCE_GOLDEN = {
+    "linear3-essp.union":
+        "73ada2db27787ed680b7d4461c560e3cfcd1ee502ad3e1170192cc5614036636",
+    "linear3-essp.plan":
+        "099568f1dbfd38d107ffebe38ef8e7332888d2f24fe7c322ade98fea0695ba61",
+    "linear3-essp.query":
+        "686e1cf4a94f0d5c9c7660aaa9df7ae97c28365d246fb6afaa28e7ac7659cfe2",
+    "linear3-essp.ts":
+        "d82f62a42a88654e27212921378748b2f44431fc799fb49340dfa8b6164c7ecc",
+    "2grade2-essp.union":
+        "ac9cfe44688b398e06cdd462478cff2c1ffaf5bd14f5bad39c6a442926525cbb",
+    "2grade2-essp.plan":
+        "2a45c3dc85187280621b84d8de57acc7a3399ed8c85a65e601468e2fc278892c",
+    "2grade2-essp.query":
+        "71ad97f26c520f80dc55dec8c9e02a7f7a61db17b427c01106373d8844a9d39f",
+    "2grade2-essp.ts":
+        "cd85d2b69823ce55a7ea51f718dc0deb9a283ddca9e3f178644bb4eab715b223",
+    "linear3-ssp.union":
+        "b940395d23b55bc56812eccadb1c13cf1f2e544e33830de7b82f9621e7cc254f",
+    "linear3-ssp.plan":
+        "ccd6d122593ecb5b3868e623e5dcf86fa795be6ed761384a85a32b503ee3b7b8",
+    "linear3-ssp.query":
+        "cdf040a3e5aa28fd2a6f2db0d890ab56db94206805918abebc122a34b88b9649",
+    "linear3-ssp.ts":
+        "518a8f5b0908457646e75a61e5273bf070d4224e8c17f0f213dcb5d7f5ec67f3",
+    "2grade2-ssp.union":
+        "9f8de168ffc732569d3810dbca7dd9dba74fde16d88097aea8f3b15e4966653c",
+    "2grade2-ssp.plan":
+        "2b42bbfaea7186a0282a4772c0b3140b0c5c757dff1984ccc2a0c755aee133fd",
+    "2grade2-ssp.query":
+        "717eabd4beac9937fd3246b92335a6509f5d2bc417354aaf618b6c1001ebdc5b",
+    "2grade2-ssp.ts":
+        "1bb976e3e4a9560f5ea653ced1257149b14d0dc8e65a9494b54166beeb2067df",
+}
+
+
+def test_reduce_outputs_are_pinned(files, capsys):
+    (files / "phi4.cnf3").write_text(serialize_cnf3(CubicMonotoneFormula(PHI4)))
+    (files / "abacab.ts").write_text(
+        serialize_ts(TransitionSystem.chain(["a", "b", "a", "c", "a", "b"])))
+    digests = {}
+    for construction, source in (("linear3-essp", "phi4.cnf3"), ("2grade2-essp", "phi4.cnf3"),
+                                 ("linear3-ssp", "abacab.ts"), ("2grade2-ssp", "abacab.ts")):
+        out = files / construction
+        assert run(["reduce", "--construction", construction,
+                    "--in", str(files / source), "--out", str(out)]) == 0
+        for suffix in (".union", ".plan", ".query", ".ts"):
+            text = (out / f"{construction}{suffix}").read_bytes()
+            digests[construction + suffix] = hashlib.sha256(text).hexdigest()
+    assert digests == REDUCE_GOLDEN
+
+
+def test_reduce_writes_an_empty_manifest_when_nothing_is_asked(files):
+    """A one-state input has no 3-fold event, so the 2grade2-ssp instance
+    has neither a key query nor key pairs: its ``.query`` is empty."""
+    (files / "single.ts").write_text(".ts\ninitial s0\n")
+    out = files / "single"
+    assert run(["reduce", "--construction", "2grade2-ssp",
+                "--in", str(files / "single.ts"), "--out", str(out)]) == 0
+    assert (out / "2grade2-ssp.query").read_text() == ""
+    assert (out / "2grade2-ssp.plan").read_text() == "terminal C0 s0\n"
 
 
 def test_synthesize_feasible_timeout_exits_3(files, capsys):

@@ -140,6 +140,15 @@ def test_morphism_fails_on_a_marking_no_state_has():
     assert not check_morphism(ts, regions)
 
 
+def test_morphism_reads_its_regions_once():
+    """An iterator of regions is answered like a list or a tuple of them,
+    not read empty by a second pass after ``synthesize`` consumed it."""
+    ts = TransitionSystem.chain(["a", "b"])
+    regions = enumerate_regions(ts)
+    assert check_morphism(ts, regions) and check_morphism(ts, tuple(regions))
+    assert check_morphism(ts, iter(regions))
+
+
 @settings(max_examples=300, deadline=None)
 @given(raw_component("s", 6), st.data())
 def test_every_edge_fires_between_the_markings_of_its_ends(ts, data):
