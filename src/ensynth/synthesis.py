@@ -12,6 +12,7 @@ report instead of being rejected.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -22,6 +23,7 @@ from .ts import (
     TransitionSystem,
     ValidationReport,
     _check_identifier,
+    _check_writable,
     _header_lines,
     validate,
 )
@@ -49,9 +51,10 @@ class ElementaryNetSystem:
 
     A flow pair (a, b) is read as place -> transition or as transition ->
     place, whichever fits the declarations; a pair that fits both or
-    neither is refused, and so is an initially marked place that is not
-    declared.  The input and output places of every transition are
-    computed once, on first use, and kept in ``_index``.
+    neither is refused, and so are a place or transition declared more
+    than once and an initially marked place that is not declared.  The
+    input and output places of every transition are computed once, on
+    first use, and kept in ``_index``.
     """
 
     places: tuple[str, ...]
@@ -74,6 +77,11 @@ def _net_index(net: ElementaryNetSystem) -> tuple[dict, dict]:
     index = net._index
     if index is None:
         places, transitions = set(net.places), set(net.transitions)
+        for kind, names, distinct in (("place", net.places, places),
+                                      ("transition", net.transitions, transitions)):
+            if len(distinct) != len(names):
+                name = next(n for n, count in Counter(names).items() if count > 1)
+                raise ValueError(f"{kind} {name!r} is declared more than once")
         pre: dict[str, set[str]] = {t: set() for t in net.transitions}
         post: dict[str, set[str]] = {t: set() for t in net.transitions}
         ambiguous, dangling = [], []
@@ -154,11 +162,22 @@ class ReachabilityGraph:
 def reachability_graph(net: ElementaryNetSystem) -> ReachabilityGraph:
     """BFS over reachable markings; states are named M0, M1, ... in BFS order.
 
+    A transition can fire only where its first input place (in place
+    order) is marked, so each marking tries the transitions indexed under
+    its marked places and those without input places, in transition order.
     The result can violate loop-freeness or simplicity (e.g. flowless
     events loop on every marking), which the attached report records.
     """
     pre, post = _net_index(net)
+    place_pos = {p: i for i, p in enumerate(net.places)}
     arcs = [(e, pre[e], post[e]) for e in net.transitions]
+    guarded: dict[str, list[int]] = {}  # place -> transitions indexed under it
+    unguarded: list[int] = []  # transitions without input places
+    for k, (_, inputs, _) in enumerate(arcs):
+        if inputs:
+            guarded.setdefault(min(inputs, key=place_pos.__getitem__), []).append(k)
+        else:
+            unguarded.append(k)
     names: dict[frozenset[str], str] = {net.initial_marking: "M0"}
     order = [net.initial_marking]
     edges: list[Edge] = []
@@ -166,7 +185,12 @@ def reachability_graph(net: ElementaryNetSystem) -> ReachabilityGraph:
     while head < len(order):
         marking = order[head]
         head += 1
-        for e, inputs, outputs in arcs:
+        candidates = unguarded.copy()
+        for p in guarded.keys() & marking:
+            candidates += guarded[p]
+        candidates.sort()
+        for k in candidates:
+            e, inputs, outputs = arcs[k]
             if not inputs <= marking or not outputs.isdisjoint(marking):
                 continue
             nxt = (marking - inputs) | outputs
@@ -299,8 +323,10 @@ def parse_ens(text: str) -> ElementaryNetSystem:
 
 def serialize_ens(net: ElementaryNetSystem) -> str:
     """Declarations, then the place -> transition arcs by place, then the
-    transition -> place arcs by transition, each in declaration order."""
+    transition -> place arcs by transition, each in declaration order.
+    A name that is not an identifier is refused."""
     pre, post = _net_index(net)
+    _check_writable((*net.places, *net.transitions))
     place_pos = {p: i for i, p in enumerate(net.places)}
     out = [".ens"]
     out.extend(f"place {p}" for p in net.places)

@@ -38,7 +38,9 @@ __all__ = [
     "serialize_ts",
 ]
 
-IDENTIFIER = re.compile(r"[A-Za-z0-9_.:+-]+\Z")
+_NAME = r"[A-Za-z0-9_.:+-]+"
+IDENTIFIER = re.compile(_NAME + r"\Z")
+_NAME_LINES = re.compile(rf"{_NAME}(?:\n{_NAME})*\Z")  # identifiers, one a line
 _BLOCK = 1 << 16  # characters of text split into lines at a time
 
 Edge = tuple[str, str, str]  # (source, event, target)
@@ -441,6 +443,20 @@ def _check_identifier(token: str, line: int) -> str:
     return token
 
 
+def _check_writable(names: Sequence[str]) -> None:
+    """Refuse the first of ``names`` that is not an identifier, which no
+    reader would take back.
+
+    One match over the names joined by newlines decides; since a name that
+    holds a newline adds one, the newlines are counted too.  The names are
+    searched one by one only to report a failure.
+    """
+    text = "\n".join(names)
+    if names and (text.count("\n") != len(names) - 1 or not _NAME_LINES.match(text)):
+        bad = next(name for name in names if not IDENTIFIER.match(name))
+        raise ValueError(f"unserializable name {bad!r}: not an identifier")
+
+
 def _content_lines(text: str):
     """(line number, content) of each line that holds more than a comment.
 
@@ -538,8 +554,10 @@ def _write_ts(ts: TransitionSystem) -> list[str]:
     Events are declared by first use, so an ``event`` line is written only
     where an event would otherwise be declared out of order: just before
     the edge that first uses a later event, or at the end.  States can only
-    be declared by first use, so any other state order is rejected.
+    be declared by first use, so any other state order is rejected, and so
+    is a name that is not an identifier.
     """
+    _check_writable(ts.states + ts.events)
     first_use = tuple(_first_use_states(ts.initial, ts.edges))
     if first_use != ts.states:
         bad = next(s for s, u in zip(ts.states, first_use + (None,)) if s != u)

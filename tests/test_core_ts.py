@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -251,6 +252,20 @@ def test_linear_chain_does_not_build_successors():
 ])
 def test_serialize_rejects_state_order_the_format_cannot_express(ts):
     with pytest.raises(ValueError, match="unserializable state order: 'c'"):
+        serialize_ts(ts)
+
+
+@pytest.mark.parametrize("ts, bad", [
+    (TransitionSystem.from_edges("a b", [("a b", "x", "c")]), "a b"),  # 'initial a b'
+    (TransitionSystem.chain(["x", "x#y"]), "x#y"),  # the rest of its line is a comment
+    (TransitionSystem.chain(["x", ""]), ""),
+    # both halves are identifiers, so only the count of newlines finds it
+    (TransitionSystem.from_edges("a", [("a", "x", "c\nd")]), "c\nd"),
+])
+def test_serialize_refuses_names_the_format_cannot_hold(ts, bad):
+    """Such a text used to be written, and parse_ts refused it or read
+    back another system."""
+    with pytest.raises(ValueError, match=f"unserializable name {re.escape(repr(bad))}"):
         serialize_ts(ts)
 
 

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ensynth.properties import has_essp, is_essp_witness, is_feasible
+from ensynth.reductions import CubicMonotoneFormula, build_linear3_essp
 from ensynth.regions import Region, enumerate_regions
 from ensynth.synthesis import (
     ElementaryNetSystem,
@@ -15,8 +16,9 @@ from ensynth.synthesis import (
     ts_isomorphic,
 )
 from ensynth.ts import Edge, ParseError, TransitionSystem
+from ensynth.unions import join
 
-from corpus import random_linear_ts, small_ts_corpus
+from corpus import PHI6, random_linear_ts, small_ts_corpus
 from test_system_protocol import raw_component
 
 
@@ -292,6 +294,34 @@ def test_net_refuses_dangling_flows_and_undeclared_initial_places():
             call(marked)
 
 
+def test_net_refuses_a_place_or_transition_declared_twice():
+    """Such a net used to be written with ``place p`` twice, which reads
+    back as a net with one place p."""
+    flows = frozenset({("p", "t")})
+    for net, message in (
+        (ElementaryNetSystem(("p", "p"), ("t",), flows, frozenset()), "place 'p'"),
+        (ElementaryNetSystem(("p", "q"), ("t", "u", "t"), flows, frozenset()), "transition 't'"),
+    ):
+        for call in (serialize_ens, reachability_graph, lambda n: fire(n, frozenset(), "t"),
+                     lambda n: n.inputs("t")):
+            with pytest.raises(ValueError, match=f"{message} is declared more than once"):
+                call(net)
+    # in .ens text a repeated declaration is one declaration
+    text = ".ens\nplace p\nplace p\ntransition t\nflow p -> t\n"
+    assert parse_ens(text) == ElementaryNetSystem(("p",), ("t",), flows, frozenset())
+
+
+@pytest.mark.parametrize("places, transitions, bad", [
+    (("p0", "a b"), ("t",), "a b"),
+    (("p0",), ("t", "x#y"), "x#y"),
+])
+def test_serialize_ens_refuses_names_it_cannot_write(places, transitions, bad):
+    """Such a net used to be written as a text parse_ens refuses."""
+    net = ElementaryNetSystem(places, transitions, frozenset(), frozenset())
+    with pytest.raises(ValueError, match=f"unserializable name '{bad}'"):
+        serialize_ens(net)
+
+
 def test_net_index_is_not_part_of_equality_or_repr():
     ts = single_edge()
     net = synthesize(ts, enumerate_regions(ts))
@@ -322,7 +352,9 @@ def scan_fire(net, marking, event):
     return (marking - inputs) | outputs
 
 
-def scan_reachability_graph(net):
+def scan_reachability_graph(net, fire_one=scan_fire):
+    """Tries every transition at every marking; with ``fire`` in place of
+    the flow scan it is the loop that the candidate index replaced."""
     names = {net.initial_marking: "M0"}
     order = [net.initial_marking]
     edges: list[Edge] = []
@@ -331,7 +363,7 @@ def scan_reachability_graph(net):
         marking = order[head]
         head += 1
         for e in net.transitions:
-            nxt = scan_fire(net, marking, e)
+            nxt = fire_one(net, marking, e)
             if nxt is None:
                 continue
             if nxt not in names:
@@ -409,3 +441,37 @@ def test_net_index_matches_the_flow_scan_on_synthesized_nets():
         rg = reachability_graph(net)
         scanned, markings = scan_reachability_graph(net)
         assert rg.ts == scanned and rg.ts.edges == scanned.edges and rg.markings == markings
+
+
+def test_reachability_graph_tries_every_enabled_transition_at_generated_size():
+    """The joined linear3-essp instance of PHI6 and the net of its
+    feasibility witnesses: each marking tries only the transitions indexed
+    under its marked places, and the graph is the one that trying every
+    transition gives."""
+    instance = build_linear3_essp(CubicMonotoneFormula(PHI6))
+    ts = join(instance.union, instance.join_plan)
+    net = synthesize(ts, is_feasible(ts).witnesses.regions)
+    assert (len(ts.states), len(net.places), len(net.transitions)) == (1023, 901, 491)
+    rg = reachability_graph(net)
+    everything, markings = scan_reachability_graph(net, fire)
+    assert rg.ts == everything and rg.ts.edges == everything.edges and rg.markings == markings
+    assert ts_isomorphic(ts, rg.ts)
+
+
+def test_transitions_without_inputs_fire_in_declaration_order():
+    """``idle`` has no flows and ``emit`` only an output; both are tried at
+    every marking, between the transitions indexed under marked places."""
+    net = ElementaryNetSystem(
+        ("p", "q", "r"), ("t0", "idle", "t1", "emit", "t2"),
+        frozenset({("p", "t0"), ("t0", "q"), ("q", "t1"), ("t1", "p"),
+                   ("emit", "r"), ("r", "t2")}),
+        frozenset({"p"}))
+    rg = reachability_graph(net)
+    assert rg.ts.edges == (
+        ("M0", "t0", "M1"), ("M0", "idle", "M0"), ("M0", "emit", "M2"),
+        ("M1", "idle", "M1"), ("M1", "t1", "M0"), ("M1", "emit", "M3"),
+        ("M2", "t0", "M3"), ("M2", "idle", "M2"), ("M2", "t2", "M0"),
+        ("M3", "idle", "M3"), ("M3", "t1", "M2"), ("M3", "t2", "M1"),
+    )
+    assert rg.markings == {"M0": {"p"}, "M1": {"q"}, "M2": {"p", "r"}, "M3": {"q", "r"}}
+    assert (rg.ts, rg.markings) == scan_reachability_graph(net)

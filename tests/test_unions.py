@@ -244,6 +244,13 @@ def test_union_format_refuses_plans_it_cannot_write():
     assert parse_union(text)[1] == JoinPlan((None, "b1"))
 
 
+def test_union_format_refuses_names_it_cannot_write():
+    """A state named ``b 0`` used to be written as ``initial b 0``."""
+    union = make_union([chain(["x", "y"], "a"), chain(["x"], "b ")])
+    with pytest.raises(ValueError, match="unserializable name 'b 0'"):
+        serialize_union(union)
+
+
 
 def test_union_format_refuses_a_second_terminal_for_a_component():
     """The second line used to replace the first one silently."""
