@@ -165,7 +165,7 @@ def _cmd_separator(args) -> int:
         result = linear2.separator(ts, args.i, args.j)
     except IndexError as exc:
         raise _InputError(str(exc)) from None
-    if not result.found or result.region is None:
+    if result.region is None:
         _emit(args, {"separable": False}, ["UNSEPARABLE"])
         return 1
     _emit(

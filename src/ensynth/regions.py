@@ -141,14 +141,13 @@ class Region:
     side, so a small region costs its own size, not the system's.
     """
 
-    __slots__ = ("system", "mask", "_members", "_cut", "_signature")
+    __slots__ = ("system", "mask", "_members", "_cut")
 
     def __init__(self, system, mask: int, _members: Optional[tuple[int, ...]] = None):
         self.system = system
         self.mask = mask
         self._members = _members
         self._cut: Optional[dict[int, int]] = None
-        self._signature: Optional[dict[str, int]] = None
 
     @classmethod
     def from_members(cls, system, members: Iterable[str]) -> "Region":
@@ -200,19 +199,15 @@ class Region:
         idx = _indexed(self.system)
         return (self.mask >> idx.state_pos[state]) & 1 == 1
 
-    def membership(self, state: str) -> int:
-        return 1 if state in self else 0
-
     @property
     def signature(self) -> dict[str, int]:
-        if self._signature is None:
-            sig = dict.fromkeys(_indexed(self.system).events, 0)
-            sig.update(self._cut_events())
-            self._signature = sig
-        return self._signature
+        """The signature of every event, as a new dict on each read."""
+        sig = dict.fromkeys(_indexed(self.system).events, 0)
+        sig.update(self._cut_events())
+        return sig
 
     def sig(self, event: str) -> int:
-        return self.signature[event]
+        return self._cut_signs().get(_indexed(self.system).event_pos[event], 0)
 
     def complement(self) -> "Region":
         idx = _indexed(self.system)
@@ -663,7 +658,7 @@ def aggregate_signature(region: Region, ts, i: int, j: int) -> int:
     t = len(ts.edges)
     if not (0 <= i < j <= t):
         raise IndexError(f"indices ({i}, {j}) out of range for a chain of length {t}")
-    return region.membership(chain[0][j]) - region.membership(chain[0][i])
+    return (chain[0][j] in region) - (chain[0][i] in region)
 
 
 def format_region(region: Region) -> str:

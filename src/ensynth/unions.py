@@ -306,7 +306,8 @@ def serialize_union(
 
     A plan is written as its ``terminal`` lines, so a plan that names no
     terminal, which the text could not tell from no plan, is refused, and
-    so is one whose length does not match the components.
+    so is one whose length does not match the components.  Names must be
+    one per component, distinct, and free of whitespace and ``#``.
     """
     if plan is not None:
         if len(plan.terminals) != len(union.components):
@@ -316,6 +317,15 @@ def serialize_union(
 
     if names is None:
         names = _default_names(len(union.components))
+    elif len(names) != len(union.components):
+        raise ValueError("component names do not match the number of components")
+    seen: set[str] = set()
+    for name in names:
+        if name.split() != [name] or "#" in name:
+            raise ValueError(f"unserializable component name {name!r}")
+        if name in seen:
+            raise ValueError(f"duplicate component name {name!r}")
+        seen.add(name)
     out = [".union"]
     for name, comp in zip(names, union.components):
         out.append(f"component {name}")

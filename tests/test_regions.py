@@ -45,6 +45,17 @@ def test_complement(master):
     assert c.complement() == r
 
 
+def test_writing_to_a_signature_changes_no_region(master):
+    """Each read of ``signature`` used to hand out the region's own copy."""
+    region = Region.from_members(master, R_M)
+    text = format_region(region)
+    region.signature["o0"] = 0
+    assert region.sig("o0") == 1 and region.signature["o0"] == 1
+    assert format_region(region) == text
+    with pytest.raises(KeyError):
+        region.sig("unknown")
+
+
 def test_complement_involution_over_enumeration():
     for ts in small_ts_corpus()[:8]:
         for r in enumerate_regions(ts):

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -250,6 +251,30 @@ def test_union_format_refuses_names_it_cannot_write():
     with pytest.raises(ValueError, match="unserializable name 'b 0'"):
         serialize_union(union)
 
+
+
+@pytest.mark.parametrize("names, message", [
+    (["A"], "component names do not match the number of components"),
+    (["A", "B", "C"], "component names do not match the number of components"),
+    (["A", "A"], "duplicate component name 'A'"),
+    (["a b", "B"], "unserializable component name 'a b'"),
+    (["A", "a#b"], "unserializable component name 'a#b'"),
+    (["", "B"], "unserializable component name ''"),
+])
+def test_union_format_refuses_component_names_it_cannot_write(names, message):
+    """Too few names used to drop components, a repeated one to be refused
+    only on reading, and ``a b`` and ``a#b`` to read back as a file
+    reference and as ``a``."""
+    union = make_union([chain(["x", "y"], "a"), chain(["x"], "b")])
+    with pytest.raises(ValueError, match=re.escape(message)):
+        serialize_union(union, names=names)
+
+
+def test_union_format_round_trips_a_path_like_component_name():
+    union = make_union([chain(["x", "y"], "a"), chain(["x"], "b")])
+    plan = default_join_plan(union)
+    text = serialize_union(union, plan, names=["a/b", "B"])
+    assert parse_union(text) == (union, plan, ["a/b", "B"])
 
 
 def test_union_format_refuses_a_second_terminal_for_a_component():
