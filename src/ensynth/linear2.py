@@ -42,7 +42,6 @@ class _Linear2(NamedTuple):
     word: tuple[str, ...]
     index: list[int]  # edge k -> edge of the other occurrence of its event, or -1
     unique: bytes  # edge k -> 1 if its event occurs once, else 0
-    in_order: bool  # states declared in chain order: state k is bit k of a mask
 
 
 def _linear_2fold(ts: TransitionSystem) -> _Linear2:
@@ -55,7 +54,7 @@ def _linear_2fold(ts: TransitionSystem) -> _Linear2:
     if lin is None:
         index = _other_occurrences(chain[1])
         lin = () if index is None else _Linear2(
-            *chain, index, bytes(p == -1 for p in index), chain[0] is ts.states)
+            *chain, index, bytes(p == -1 for p in index))
         object.__setattr__(ts, "_twofold", lin)
     if not lin:
         raise ValueError("expected a linear 2-fold transition system")
@@ -134,7 +133,7 @@ class SeparatorResult:
 
     @property
     def found(self) -> bool:
-        return bool(self.exit_events or self.enter_events)
+        return self.region is not None
 
 
 _NOT_FOUND = SeparatorResult(frozenset(), frozenset(), None)
@@ -174,7 +173,7 @@ def _region_from_changes(
             runs.append((lo, p))  # states lo..p lie before edge p
     if changes[-1][1] == 1:
         runs.append((lo, len(lin.states) - 1))
-    if lin.in_order:
+    if lin.states is ts.states:  # state k is bit k of a mask
         mask = sum((1 << (hi + 1)) - (1 << lo) for lo, hi in runs)
     else:
         pos = _indexed(ts).state_pos

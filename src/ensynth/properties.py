@@ -85,9 +85,9 @@ class WitnessMap(Mapping):
     """Lazy query -> Region view backed by the found witness list.
 
     Lookups scan the regions for one that answers the query, so the map
-    costs one region per solver call instead of one entry per query; the
-    deciders guarantee that, on a holding verdict, every mandatory query is
-    answered by some stored region.
+    costs one region per solver call instead of one entry per query.  Its
+    keys are the queries of ``kinds``, the kinds whose sweep held, so that
+    every one of them is answered by some stored region.
     """
 
     def __init__(self, sys, kinds: tuple[str, ...], regions: list[Region]):
@@ -96,9 +96,10 @@ class WitnessMap(Mapping):
         self.regions = regions
 
     def __getitem__(self, query: SeparationQuery) -> Region:
-        for region in self.regions:
-            if _answers(region, query):
-                return region
+        if isinstance(query, SeparationQuery) and query.kind in self._kinds:
+            for region in self.regions:
+                if _answers(region, query):
+                    return region
         raise KeyError(query)
 
     def __iter__(self):
@@ -166,6 +167,8 @@ def _constraint(query: SeparationQuery) -> RegionConstraint:
 
 class _Deadline:
     def __init__(self, timeout: float | None):
+        if timeout != timeout:  # nan, which no clock reading exceeds
+            raise ValueError("timeout must not be nan")
         self.at = None if timeout is None else time.monotonic() + timeout
         self.checked = 0
         self.total = 0
@@ -296,15 +299,17 @@ def _sweep(sys, deadline: _Deadline, queries, regions: list[Region], exhaustive:
 def _decide(sys, timeout, kinds: tuple[str, ...], exhaustive=False, seeds=()) -> Verdict:
     """The one sweep behind every decider, run once per kind of ``kinds``
     ("ssp" before "essp") until one fails, all sharing the witnesses found
-    so far, ``seeds`` first.  Only the ESSP sweep is ``exhaustive``."""
+    so far, ``seeds`` first.  Only the ESSP sweep is ``exhaustive``.  The
+    witness map lists the queries of the kinds whose sweep held."""
     deadline = _Deadline(timeout)
     regions = list(_witness_regions(sys, seeds))
     idx = _indexed(sys)
     failures: list[SeparationQuery] = []
-    for kind in kinds:
+    for n, kind in enumerate(kinds):
         queries = _QUERIES[kind](idx)
         failures = _sweep(sys, deadline, queries, regions, exhaustive and kind == "essp")
         if failures:
+            kinds = kinds[:n]
             break
     return Verdict(WitnessMap(sys, kinds, regions), tuple(failures))
 

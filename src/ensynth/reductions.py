@@ -308,9 +308,9 @@ def _namer(ts: TransitionSystem):
     return name
 
 
-def _chain_ts(initial: str, word: Sequence[str], states: Sequence[str]) -> TransitionSystem:
+def _chain_ts(word: Sequence[str], states: Sequence[str]) -> TransitionSystem:
     edges = [(states[n], ev, states[n + 1]) for n, ev in enumerate(word)]
-    return TransitionSystem.from_edges(initial, edges)
+    return TransitionSystem.from_edges(states[0], edges)
 
 
 def _query_sub_union(
@@ -332,8 +332,7 @@ def _query_sub_union(
     b_free = name("b")
 
     mapper_states = [name(f"m{n}") for n in range(6)]
-    sub = [_chain_ts(mapper_states[0],
-                     [event, vice[0], event, vice[1], event], mapper_states)]
+    sub = [_chain_ts([event, vice[0], event, vice[1], event], mapper_states)]
     for j in range(5):
         d_states = [name(f"d_{j}_{n}") for n in range(14)]
         word = [
@@ -342,12 +341,9 @@ def _query_sub_union(
             b_events[2 * j + 1], ecopy[2 * j], vice[2 * j + 2],
             ecopy[2 * j + 1], vice[2 * j + 3], ecopy[2 * j],
         ]
-        sub.append(_chain_ts(d_states[0], word, d_states))
+        sub.append(_chain_ts(word, d_states))
     p_states = [name(f"p{n}") for n in range(8)]
-    sub.append(_chain_ts(
-        p_states[0], [ecopy[7], h1, ecopy[9], b_free, vice[10], h2, vice[11]],
-        p_states,
-    ))
+    sub.append(_chain_ts([ecopy[7], h1, ecopy[9], b_free, vice[10], h2, vice[11]], p_states))
 
     # Copy of the input: event occurrences become the free copies e1, e3,
     # e5 in chain order; the state grows s -h1-> p -h2-> s', with the
@@ -356,7 +352,7 @@ def _query_sub_union(
     free = iter([ecopy[1], ecopy[3], ecopy[5]])
     word = [next(free) if ev == event else ev for ev in word]
     k = states.index(state)
-    sub.append(_chain_ts(ts.initial, [*word[:k], h1, h2, *word[k:]],
+    sub.append(_chain_ts([*word[:k], h1, h2, *word[k:]],
                          [*states[:k + 1], name("p"), name(state + "+"), *states[k + 1:]]))
     return make_union(sub), (mapper_states[0], mapper_states[1])
 

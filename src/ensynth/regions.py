@@ -210,11 +210,8 @@ class Region:
         return self._cut_signs().get(_indexed(self.system).event_pos[event], 0)
 
     def complement(self) -> "Region":
-        idx = _indexed(self.system)
-        other = Region(self.system, ((1 << len(idx.states)) - 1) ^ self.mask)
-        if self._cut is not None:
-            other._cut = {e: -d for e, d in self._cut.items()}
-        return other
+        n = len(_indexed(self.system).states)
+        return Region(self.system, ((1 << n) - 1) ^ self.mask)
 
     def restrict(self, system) -> "Region":
         """Project onto a sub-system (component of a union) by state names."""

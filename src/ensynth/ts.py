@@ -38,9 +38,7 @@ __all__ = [
     "serialize_ts",
 ]
 
-_NAME = r"[A-Za-z0-9_.:+-]+"
-IDENTIFIER = re.compile(_NAME + r"\Z")
-_NAME_LINES = re.compile(rf"{_NAME}(?:\n{_NAME})*\Z")  # identifiers, one a line
+IDENTIFIER = re.compile(r"[A-Za-z0-9_.:+-]+\Z")
 _BLOCK = 1 << 16  # characters of text split into lines at a time
 
 Edge = tuple[str, str, str]  # (source, event, target)
@@ -162,7 +160,7 @@ class _System:
         On nondeterministic graphs the last edge wins; admissible systems
         are deterministic, so this is only a concern for raw graphs.
         """
-        idx = self._index or _indexed(self)
+        idx = _indexed(self)
         s = idx.state_pos[state]
         return {idx.events[idx.eev[i]]: idx.states[idx.edst[i]]
                 for i in idx.state_edges[s] if idx.esrc[i] == s}
@@ -184,7 +182,7 @@ class TransitionSystem(_System):
     # ``_index`` (see :class:`_System`), ``_chain`` (see :func:`_linear_chain`)
     # and ``_twofold`` (the other-occurrence index of ensynth.linear2) are
     # built on first use, never by the constructor.
-    __slots__ = ("states", "events", "initial", "edges", "_chain", "_twofold", "_hash")
+    __slots__ = ("states", "events", "initial", "edges", "_chain", "_twofold")
 
     def __init__(
         self,
@@ -224,7 +222,6 @@ class TransitionSystem(_System):
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_chain", None)
         object.__setattr__(self, "_twofold", None)
-        object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_index", None)
 
     def __reduce__(self):
@@ -270,11 +267,7 @@ class TransitionSystem(_System):
         )
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.states, self.events, self.initial, frozenset(self.edges)))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.states, self.events, self.initial, frozenset(self.edges)))
 
     def __repr__(self):
         return (
@@ -445,16 +438,10 @@ def _check_identifier(token: str, line: int) -> str:
 
 def _check_writable(names: Sequence[str]) -> None:
     """Refuse the first of ``names`` that is not an identifier, which no
-    reader would take back.
-
-    One match over the names joined by newlines decides; since a name that
-    holds a newline adds one, the newlines are counted too.  The names are
-    searched one by one only to report a failure.
-    """
-    text = "\n".join(names)
-    if names and (text.count("\n") != len(names) - 1 or not _NAME_LINES.match(text)):
-        bad = next(name for name in names if not IDENTIFIER.match(name))
-        raise ValueError(f"unserializable name {bad!r}: not an identifier")
+    reader would take back."""
+    for name in names:
+        if not IDENTIFIER.match(name):
+            raise ValueError(f"unserializable name {name!r}: not an identifier")
 
 
 def _content_lines(text: str):

@@ -259,8 +259,11 @@ def test_serialize_rejects_state_order_the_format_cannot_express(ts):
     (TransitionSystem.from_edges("a b", [("a b", "x", "c")]), "a b"),  # 'initial a b'
     (TransitionSystem.chain(["x", "x#y"]), "x#y"),  # the rest of its line is a comment
     (TransitionSystem.chain(["x", ""]), ""),
-    # both halves are identifiers, so only the count of newlines finds it
+    # both halves are identifiers
     (TransitionSystem.from_edges("a", [("a", "x", "c\nd")]), "c\nd"),
+    # of two such names the first declared is named, states before events
+    (TransitionSystem.from_edges("a", [("a", "x y", "c#d")]), "c#d"),
+    (TransitionSystem.chain(["x y", "z#"]), "x y"),
 ])
 def test_serialize_refuses_names_the_format_cannot_hold(ts, bad):
     """Such a text used to be written, and parse_ts refused it or read

@@ -111,6 +111,32 @@ def test_witness_map_reads_entering_regions_and_misses_with_key_error():
         verdict.witnesses[verdict.counterexample]
 
 
+def test_witness_maps_list_only_the_queries_of_kinds_that_held():
+    """A failing sweep's kind has no keys, so every listed query maps to a
+    region, and a query of another kind, or no query, is no key."""
+    ts = TransitionSystem.from_edges(
+        "s0", [("s0", "a", "s3"), ("s3", "c", "s2"), ("s2", "a", "s1"), ("s2", "b", "s0")])
+    abab = TransitionSystem.chain(list("abab"))
+    for verdict in (has_ssp(abab), is_feasible(abab), has_essp(ts), is_feasible(ts)):
+        assert not verdict.holds
+        assert len(dict(verdict.witnesses)) == len(verdict.witnesses)
+    feasible = is_feasible(ts)
+    assert feasible.counterexample == SeparationQuery.event_state("b", "s1")
+    assert len(feasible.witnesses) == 6
+    assert {q.kind for q in feasible.witnesses} == {"ssp"}
+    holding = has_essp(TransitionSystem.chain(["a", "b"]))
+    assert holding.holds
+    assert SeparationQuery.states("s0", "s1") not in holding.witnesses
+    assert "x" not in holding.witnesses
+
+
+@pytest.mark.parametrize("decide", [has_ssp, has_essp, is_feasible])
+def test_deciders_refuse_a_nan_timeout(decide):
+    """No clock reading exceeds nan, so such a check would run unbounded."""
+    with pytest.raises(ValueError, match="nan"):
+        decide(TransitionSystem.chain(["a", "b"]), timeout=float("nan"))
+
+
 def test_essp_exhaustive_mode():
     ts = TransitionSystem.chain(["a", "a", "a"])
     first = has_essp(ts)

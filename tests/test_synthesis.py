@@ -314,6 +314,7 @@ def test_net_refuses_a_place_or_transition_declared_twice():
 @pytest.mark.parametrize("places, transitions, bad", [
     (("p0", "a b"), ("t",), "a b"),
     (("p0",), ("t", "x#y"), "x#y"),
+    (("a b", "c#d"), ("t u",), "a b"),  # the first declared, places before transitions
 ])
 def test_serialize_ens_refuses_names_it_cannot_write(places, transitions, bad):
     """Such a net used to be written as a text parse_ens refuses."""

@@ -250,6 +250,12 @@ def test_union_format_refuses_names_it_cannot_write():
     union = make_union([chain(["x", "y"], "a"), chain(["x"], "b ")])
     with pytest.raises(ValueError, match="unserializable name 'b 0'"):
         serialize_union(union)
+    # of two such names the first declared is named: by component, and
+    # within one, states before events
+    for union, bad in ((make_union([chain(["x y"], "a"), chain(["x"], "b ")]), "x y"),
+                       (make_union([chain(["x"], "a"), chain(["y z"], "b ")]), "b 0")):
+        with pytest.raises(ValueError, match=f"unserializable name '{bad}'"):
+            serialize_union(union)
 
 
 
