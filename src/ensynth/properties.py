@@ -96,11 +96,19 @@ class WitnessMap(Mapping):
         self.regions = regions
 
     def __getitem__(self, query: SeparationQuery) -> Region:
-        if isinstance(query, SeparationQuery) and query.kind in self._kinds:
+        if (isinstance(query, SeparationQuery) and query.kind in self._kinds
+                and (query.kind == "essp" or self._lists_pair(query.a, query.b))):
             for region in self.regions:
                 if _answers(region, query):
                     return region
         raise KeyError(query)
+
+    def _lists_pair(self, s: str, s2: str) -> bool:
+        """Whether the SSP sweep lists (s, s2): two states of one
+        component, in index order."""
+        idx = _indexed(self._sys)
+        i, j = idx.state_pos.get(s), idx.state_pos.get(s2)
+        return None not in (i, j) and i < j and idx.component[i] == idx.component[j]
 
     def __iter__(self):
         """The queries in sweep order: the intra-component state pairs, then

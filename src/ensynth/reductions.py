@@ -128,22 +128,25 @@ def is_one_in_three_model(formula: CubicMonotoneFormula, subset: Iterable[int]) 
 
 
 def find_one_in_three_models(formula: CubicMonotoneFormula) -> list[frozenset[int]]:
-    """All one-in-three models, by exhaustive enumeration of variable subsets.
+    """All one-in-three models, by exhaustive enumeration of the subsets of
+    the variables that occur, ordered by ``sum(1 << v)``.
 
     The desk-scale oracle; refuses more than 24 variables.
     """
-    m = formula.m
-    if m > 24:
+    variables = sorted({v for clause in formula.clauses for v in clause})
+    if len(variables) > 24:
         raise ValueError("exhaustive model search is capped at 24 variables")
-    clause_masks = [sum(1 << v for v in cl) for cl in formula.clauses]
+    # Bit i of a candidate stands for variables[i], which keeps the order.
+    bit = {v: 1 << i for i, v in enumerate(variables)}
+    clause_masks = [bit[a] | bit[b] | bit[c] for a, b, c in formula.clauses]
     models = []
-    for candidate in range(1 << m):
+    for candidate in range(1 << len(variables)):
         for cm in clause_masks:
             hit = candidate & cm
             if hit == 0 or hit & (hit - 1):
                 break
         else:
-            models.append(frozenset(v for v in range(m) if (candidate >> v) & 1))
+            models.append(frozenset(v for i, v in enumerate(variables) if candidate >> i & 1))
     return models
 
 

@@ -24,14 +24,18 @@ A solve costs what the constraint reaches, not what the system holds.
 The system (a :class:`~ensynth.ts.TransitionSystem` or a
 :class:`~ensynth.unions.TsUnion`, which is just a disconnected graph)
 owns one integer index, which ``ts`` defines and builds on first use for
-every layer.  Full domains are arc-consistent, so the propagation queue
-is seeded from the constraint only, and the search undoes a branch
-through a trail of domain changes instead of copying the domains at
-every frame.  The queue takes an edge only when its revision can narrow
-a domain: at most once, never by its own revision, and not while it is
-open (both ends undecided) and its event may still obey (sig = 0).  The
-same kernel descends, branching at each closure on the smallest open event
-of the cone, which it reads from the domains.
+every layer; the system's first solve adds the solver's view to it (each
+edge as one triple, each state's active edges).  Full domains are
+arc-consistent, so the propagation queue is seeded from the constraint
+only, and the search undoes a branch through a trail of domain changes
+instead of copying the domains at every frame.  The queue takes an edge
+only when its revision can narrow a domain: at most once, never by its
+own revision, and not while it is open (both ends undecided) and its
+event may still obey (sig = 0).  An edge that a newly decided state could
+only make narrow its full event to two values is not queued either: the
+event is narrowed in place.  The same kernel descends, branching at each
+closure on the smallest open event of the cone, which it reads from the
+domains.
 """
 
 from __future__ import annotations
@@ -78,20 +82,17 @@ def _revise(ms: int, mg: int, mt: int):
     return (ns, ng, nt) if ns else None
 
 
-def _revision(key: int):
-    """The edge rule's result for the domain triple ``key``: ``None`` on a
-    wipe-out, else (new sig(e), the ends it narrows as (at t, new domain))."""
-    ms, mg, mt = key & 0b11, (key >> 2) & 0b111, key >> 5
-    revised = _revise(ms, mg, mt)
-    if revised is None:
-        return None
-    ns, ng, nt = revised
-    ends = tuple((at_t, n) for at_t, n, m in ((False, ns, ms), (True, nt, mt)) if n != m)
-    return ng, ends
+# The edge rule for every domain triple, keyed by ms | mg << 2 | mt << 5:
+# ``None`` on a wipe-out, else the new domains (ns, ng, nt).
+_REVISE = tuple(_revise(key & 0b11, (key >> 2) & 0b111, key >> 5) for key in range(128))
 
-
-# The edge rule for every domain triple, keyed by ms | mg << 2 | mt << 5.
-_REVISE = tuple(map(_revision, range(128)))
+# The two values the edge rule leaves a full event when exactly one end of
+# the edge is decided, keyed by mem[source] | mem[target] << 2; 0 for every
+# other pair of end domains.
+_NARROW = tuple(
+    _revise(ms, _SIG_ALL, mt)[1] if {ms, mt} in ({0b01, 0b11}, {0b10, 0b11}) else 0
+    for mt in range(4) for ms in range(4)
+)
 
 # Branch values, tried in this order: an event's remaining values by its
 # domain (obey first), and a state's.
@@ -309,17 +310,32 @@ class _Unsatisfiable(Exception):
     pass
 
 
+def _solver_view(idx: _Index):
+    """(edges, adj): each edge as one (source, event, target) triple, and
+    each state's active edges.  Built on the system's first solve and kept
+    on its index; a system that is never solved does not pay for it."""
+    view = idx.solver_view
+    if view is None:
+        active = idx.active
+        view = idx.solver_view = (
+            tuple(zip(idx.esrc, idx.eev, idx.edst)),
+            tuple([y for y in ys if active[y]] for ys in idx.state_edges),
+        )
+    return view
+
+
 class _Solver:
     """Backtracking search over membership/signature domains.
 
     A solve allocates its domains and its queue flags, and reads every
-    other array from the index.  Edges of globally-unique events are
-    excluded from propagation: a single-occurrence event absorbs any
-    membership difference, so such edges never constrain anything and
-    their signature is derived from the solution afterwards.  A ±1 pin
-    decides both ends of the event's single edge while seeding; only a 0
-    pin leaves an edge that must keep propagating, and only then is the
-    index's ``active`` copied and patched.
+    other array from the index and its solver view.  Edges of
+    globally-unique events are excluded from propagation: a
+    single-occurrence event absorbs any membership difference, so such
+    edges never constrain anything and their signature is derived from the
+    solution afterwards.  A ±1 pin decides both ends of the event's single
+    edge while seeding; only a 0 pin leaves an edge that must keep
+    propagating, and only then are the view's per-state lists of active
+    edges copied and the two lists of that edge's ends patched.
 
     The trail holds domain changes only, each as (array, position, old
     value), so a branch is undone by replaying it back to the frame's mark.
@@ -338,7 +354,7 @@ class _Solver:
         self.sys = sys
         self.idx = idx
         self.deadline = deadline
-        self.active = idx.active
+        self.edges, self.adj = _solver_view(idx)
         # The constraint as the (kind, position, bits) assignments that seed
         # the search, memberships first.
         pins = self.pins = []
@@ -352,9 +368,11 @@ class _Solver:
             e = idx.event_pos[name]
             edges = idx.event_edges[e]
             if val == 0 and len(edges) == 1:
-                if self.active is idx.active:
-                    self.active = bytearray(idx.active)
-                self.active[edges[0]] = 1
+                a, _, b = self.edges[edges[0]]
+                if self.adj is idx.solver_view[1]:
+                    self.adj = list(self.adj)
+                for x in {a, b}:
+                    self.adj[x] = [*self.adj[x], edges[0]]
             # An edgeless event has signature 0, so a ±1 pin leaves it no value.
             pins.append(("event", e, _SIG_BIT[val] & (_SIG_ALL if edges else 0b010)))
         self.mem = bytearray(b"\x03") * len(idx.states)
@@ -388,21 +406,29 @@ class _Solver:
           it is revised: the edge rule is idempotent;
         * an event domain that still holds 0 skips its open edges, whose
           ends are both undecided: their revision is a no-op, and a change
-          at either end queues them.
+          at either end queues them;
+        * a newly decided state does not queue an edge whose event is full
+          and whose other end is undecided, since its revision could only
+          narrow the event to two values: the kernel does that in place,
+          and queues the event's other edges that are not open.  The edge
+          is then consistent, and a later change to its event or its other
+          end queues it.
 
-        A changed domain is trailed; an event domain that narrows from
-        ``0b111`` to an open one joins the heap of the cone.  While the
-        search runs (``stack`` is set), each closure picks the smallest
-        event of the cone whose domain is still open, pushes its frame and
-        applies its first value as the next sentinel assignment.  The
-        kernel returns once no open event is left in the cone, and raises
-        ``_Unsatisfiable`` on a conflict.  The queue and every flag are
-        clear on return and on ``_Unsatisfiable``.
+        A revision yields the new domains of its source, event and target,
+        and the kernel makes the event's change, then the source's, then
+        the target's; on a self-loop the target is read again once the
+        source is written.  A changed domain is trailed.  An event joins
+        the heap of the cone when it is narrowed in place, the only way a
+        full event becomes two-valued.  While the search runs (``stack`` is
+        set), each closure picks the smallest event of the cone whose
+        domain is still open, pushes its frame and applies its first value
+        as the next sentinel assignment.  The kernel returns once no open
+        event is left in the cone, and raises ``_Unsatisfiable`` on a
+        conflict.  The queue and every flag are clear on return and on
+        ``_Unsatisfiable``.
         """
-        idx = self.idx
-        esrc, eev, edst = idx.esrc, idx.eev, idx.edst
-        state_edges, event_edges = idx.state_edges, idx.event_edges
-        mem, sig, active = self.mem, self.sig, self.active
+        edges, adj, event_edges = self.edges, self.adj, self.idx.event_edges
+        mem, sig = self.mem, self.sig
         heap, stack, trail, deadline = self.heap, self.stack, self.trail, self.deadline
         queue, queued = self.queue, self.queued
         pop, push, log = queue.popleft, queue.append, trail.append
@@ -412,53 +438,79 @@ class _Solver:
             ng = mg & bits
             if not ng:
                 raise _Unsatisfiable
-            ends = ()
+            s = ms = ns = mt = nt = 0
         else:
-            s = t = var
-            mg = ng = 0
-            ends = ((False, bits),)
+            s, ms = var, mem[var]
+            ns = ms & bits
+            mg = ng = mt = nt = 0
         try:
             while True:
                 if ng != mg:
+                    # A full event is narrowed to two values only by an edge
+                    # with one decided end, in place below: only there does
+                    # an event join the cone.
                     log((sig, e, mg))
                     sig[e] = ng
-                    if mg == _SIG_ALL and ng & (ng - 1):
-                        heappush(heap, e)
                     # Only events with active edges get here, and all their
                     # edges are.
                     if ng & 0b010:  # skip the open edges
                         for x in event_edges[e]:
-                            if not queued[x] and mem[esrc[x]] & mem[edst[x]] != _MEM_ALL:
-                                queued[x] = 1
-                                push(x)
+                            if not queued[x]:
+                                a, _, b = edges[x]
+                                if mem[a] & mem[b] != _MEM_ALL:
+                                    queued[x] = 1
+                                    push(x)
                     else:
                         for x in event_edges[e]:
                             if not queued[x]:
                                 queued[x] = 1
                                 push(x)
-                for at_t, n in ends:
-                    x = t if at_t else s
-                    old = mem[x]
-                    n &= old  # on a self-loop the other end may be narrowed already
-                    if n == old:
-                        continue
-                    if not n:
+                if ns != ms:
+                    if not ns:
                         raise _Unsatisfiable
-                    log((mem, x, old))
-                    mem[x] = n
-                    for y in state_edges[x]:
-                        if active[y] and not queued[y]:
-                            queued[y] = 1
-                            push(y)
+                    log((mem, s, ms))
+                    mem[s] = ns
+                    for y in adj[s]:
+                        if queued[y]:
+                            continue
+                        a, f, b = edges[y]
+                        if sig[f] == _SIG_ALL:
+                            g = _NARROW[mem[a] | mem[b] << 2]
+                            if g:
+                                # The other end is undecided, so y's
+                                # revision could only narrow f to g: do it
+                                # here, which leaves y consistent, and queue
+                                # f's other edges that are not open (y is
+                                # flagged meanwhile, so it is skipped).
+                                log((sig, f, _SIG_ALL))
+                                sig[f] = g
+                                heappush(heap, f)
+                                queued[y] = 1
+                                for z in event_edges[f]:
+                                    if not queued[z]:
+                                        a, _, b = edges[z]
+                                        if mem[a] & mem[b] != _MEM_ALL:
+                                            queued[z] = 1
+                                            push(z)
+                                queued[y] = 0
+                                continue
+                        queued[y] = 1
+                        push(y)
+                if nt != mt:
+                    # The target in turn; on a self-loop it is the source,
+                    # written just now.
+                    s, ms, mg = t, mem[t], ng
+                    ns, nt = nt & ms, mt
+                    continue
                 queued[eid] = 0
                 if queue:
                     eid = pop()
-                    s, e, t = esrc[eid], eev[eid], edst[eid]
-                    mg = sig[e]
-                    revised = _REVISE[mem[s] | mg << 2 | mem[t] << 5]
+                    s, e, t = edges[eid]
+                    ms, mg, mt = mem[s], sig[e], mem[t]
+                    revised = _REVISE[ms | mg << 2 | mt << 5]
                     if revised is None:
                         raise _Unsatisfiable
-                    ng, ends = revised
+                    ns, ng, nt = revised
                     continue
                 if stack is None:
                     return
@@ -476,7 +528,7 @@ class _Solver:
                 stack.append([len(trail), "event", e, values, 1])
                 if deadline is not None:
                     deadline.check()
-                eid, ng, ends = sentinel, values[0], ()
+                eid, ng, ns = sentinel, values[0], ms
         except _Unsatisfiable:
             queued[eid] = 0
             for x in queue:

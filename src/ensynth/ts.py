@@ -39,7 +39,6 @@ __all__ = [
 ]
 
 IDENTIFIER = re.compile(r"[A-Za-z0-9_.:+-]+\Z")
-_BLOCK = 1 << 16  # characters of text split into lines at a time
 
 Edge = tuple[str, str, str]  # (source, event, target)
 
@@ -96,13 +95,15 @@ class _Index:
     difference, so its edge constrains nothing.  ``positions`` holds each
     state position as one shared int, which ``state_pos``, the edge arrays
     and the member tuples of regions reuse.  ``component`` holds the
-    component id of each state position.
+    component id of each state position.  ``solver_view`` is the region
+    solver's own view, which ``ensynth.regions`` builds on the system's
+    first solve, so that a system never solved does not pay for it.
     """
 
     __slots__ = (
         "states", "events", "state_pos", "event_pos", "esrc", "eev", "edst",
         "event_edges", "state_edges", "active", "repeated", "positions",
-        "component",
+        "component", "solver_view",
     )
 
     def __init__(self, sys):
@@ -127,6 +128,7 @@ class _Index:
         self.esrc, self.eev, self.edst = tuple(esrc), tuple(eev), tuple(edst)
         self.repeated = bytearray(len(es) > 1 for es in event_edges)
         self.active = bytearray(self.repeated[e] for e in eev)
+        self.solver_view = None
 
 
 def _indexed(sys) -> _Index:
@@ -445,20 +447,12 @@ def _check_writable(names: Sequence[str]) -> None:
 
 
 def _content_lines(text: str):
-    """(line number, content) of each line that holds more than a comment.
-
-    Lines are those of ``text.splitlines()``, split one block at a time so
-    that a large text is never listed whole.
-    """
-    number, start = 0, 0
-    while start < len(text):
-        end = text.find("\n", start + _BLOCK) + 1 or len(text)
-        for raw in text[start:end].splitlines():
-            number += 1
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                yield number, line
-        start = end
+    """(line number, content) of each line of ``text.splitlines()`` that
+    holds more than a comment."""
+    for number, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield number, line
 
 
 def _header_lines(text: str, header: str):

@@ -130,6 +130,24 @@ def test_witness_maps_list_only_the_queries_of_kinds_that_held():
     assert "x" not in holding.witnesses
 
 
+def test_witness_maps_answer_only_the_ssp_pairs_they_list():
+    """An SSP pair is a key only as the sweep lists it: two states of one
+    component, in index order.  Its reverse, a pair across components and
+    a pair with an unknown state are no keys, though a region may separate
+    the first two."""
+    chain = has_ssp(TransitionSystem.chain(["a", "b"]))
+    assert SeparationQuery.states("s0", "s1") in chain.witnesses
+    assert SeparationQuery.states("s1", "s0") not in chain.witnesses
+    assert SeparationQuery.states("s0", "x") not in chain.witnesses
+    union = TsUnion([TransitionSystem.chain(["a"], "p"), TransitionSystem.chain(["b"], "q")])
+    verdict = is_feasible(union)
+    assert verdict.holds
+    assert SeparationQuery.states("p0", "q1") not in verdict.witnesses
+    assert all(q in verdict.witnesses for q in verdict.witnesses)
+    assert {q for q in verdict.witnesses if q.kind == "ssp"} == {
+        SeparationQuery.states("p0", "p1"), SeparationQuery.states("q0", "q1")}
+
+
 @pytest.mark.parametrize("decide", [has_ssp, has_essp, is_feasible])
 def test_deciders_refuse_a_nan_timeout(decide):
     """No clock reading exceeds nan, so such a check would run unbounded."""

@@ -99,6 +99,19 @@ def test_model_oracle():
         find_one_in_three_models(too_wide)
 
 
+def test_model_oracle_covers_every_variable_that_occurs():
+    """An unchecked formula may use variables at or past its clause count;
+    the models still come ordered by ``sum(1 << v)``."""
+    one = CubicMonotoneFormula([(0, 1, 2)], check=False)
+    assert find_one_in_three_models(one) == [frozenset({0}), frozenset({1}), frozenset({2})]
+    far = CubicMonotoneFormula([(3, 5, 9)], check=False)
+    assert find_one_in_three_models(far) == [frozenset({3}), frozenset({5}), frozenset({9})]
+    two = CubicMonotoneFormula([(0, 1, 2), (2, 3, 4)], check=False)
+    assert find_one_in_three_models(two) == [
+        frozenset({2}), frozenset({0, 3}), frozenset({1, 3}), frozenset({0, 4}), frozenset({1, 4}),
+    ]
+
+
 # -- linear 3-fold ESSP -----------------------------------------------------
 
 

@@ -16,8 +16,10 @@ Random deterministic systems and two-component unions of at most 12 states,
 some with an edgeless event and some with self-loops (R(s) = R(s) +
 sig(e)), are checked under random constraints.  Fixed instances cover a
 solve that backtracks, an event that backtracking reopens, both ways
-``_solution`` reads the members, and the one constraint for which a solve
-copies an index array: a once-occurring event pinned to 0.
+``_solution`` reads the members, an event narrowed in place (and a
+self-loop, where that must not happen), and the one constraint for which a
+solve copies its view's per-state lists: a once-occurring event pinned
+to 0.
 """
 
 import random
@@ -543,6 +545,49 @@ def test_solution_reads_the_members_from_the_trail_or_the_domains(ts, constraint
     assert found[0]._members == tuple(i for i in range(300) if found[0].mask >> i & 1)
 
 
+# -- events narrowed in place ---------------------------------------------------
+
+def _sig_trail(solver, event: str) -> list[int]:
+    """The old values the trail holds for ``event``'s domain, in order."""
+    e = _indexed(solver.sys).event_pos[event]
+    return [old for array, pos, old in solver.trail if array is solver.sig and pos == e]
+
+
+def test_a_self_loop_at_a_newly_decided_state_is_revised_not_narrowed_in_place():
+    """Deciding s1 meets the self-loop s1 -b-> s1, whose other end is s1
+    itself: its revision decides b = 0 outright, so b must not be narrowed
+    in place to two values and join the cone.  The other edge of b stays
+    open, and the edges of the once-occurring a and c do not propagate."""
+    ts = TransitionSystem.from_edges("s0", [
+        ("s0", "a", "s1"), ("s1", "b", "s1"), ("s1", "c", "s2"), ("s2", "b", "s3"),
+    ])
+    constraint = RegionConstraint(membership={"s1": 1})
+    solver, reference = _Solver(ts, constraint), ReferenceSolver(ts, constraint)
+    assert _seeded(solver) and not reference.failed
+    assert solver.mem == reference.mem and solver.sig == reference.sig
+    assert solver.sig[ts.events.index("b")] == _SIG_BIT[0] and not solver.heap
+    assert _sig_trail(solver, "b") == [0b111]
+    assert _found(solve_all_regions(ts, constraint)) == _found(
+        ReferenceSolver(ts, constraint).solutions())
+
+
+def test_a_zero_pinned_once_occurring_event_is_narrowed_in_place_on_its_patched_edge():
+    """In s0 -a-> s1 -u-> s2 -a-> s3 the membership s1 = 1 is seeded before
+    the pin u = 0, so deciding s1 meets the edge of u, which only the
+    solver's patched lists hold, while u is still full: u is narrowed in
+    place to {-1, 0}, and the pin then leaves it 0."""
+    ts = TransitionSystem.chain(["a", "u", "a"])
+    constraint = RegionConstraint(membership={"s1": 1}, signature={"u": 0})
+    solver, reference = _Solver(ts, constraint), ReferenceSolver(ts, constraint)
+    assert _seeded(solver) and not reference.failed
+    assert solver.mem == reference.mem and solver.sig == reference.sig
+    assert _sig_trail(solver, "u") == [0b111, 0b011]
+    assert _found([solve_region(ts, constraint)]) == _found(
+        ReferenceSolver(ts, constraint).solutions(first_only=True))
+    assert _found(solve_all_regions(ts, constraint)) == _found(
+        ReferenceSolver(ts, constraint).solutions())
+
+
 # -- what a solve copies --------------------------------------------------------
 
 def test_a_once_occurring_event_pinned_to_zero_carries_a_decided_end():
@@ -558,8 +603,9 @@ def test_a_once_occurring_event_pinned_to_zero_carries_a_decided_end():
     assert _found(found) == _found(expected)
     assert _found(solve_all_regions(ts, constraint)) == _found(
         ReferenceSolver(ts, constraint).solutions())
-    idx = _indexed(ts)  # the patch is the solver's own
-    assert solver.active is not idx.active and not idx.active[1] and solver.active[1]
+    adj = _indexed(ts).solver_view[1]  # the patch is the solver's own
+    assert solver.adj is not adj and 1 not in adj[1] + adj[2]
+    assert 1 in solver.adj[1] and 1 in solver.adj[2]
 
 
 @pytest.mark.parametrize("constraint", [
@@ -570,6 +616,6 @@ def test_a_once_occurring_event_pinned_to_zero_carries_a_decided_end():
 def test_sweep_constraints_copy_no_index_array(constraint):
     ts = TransitionSystem.chain(["a", "u", "a"])
     solver = _Solver(ts, constraint)
-    assert solver.active is _indexed(ts).active
+    assert solver.adj is _indexed(ts).solver_view[1]
     found = list(solver.solutions(first_only=True))
     assert _found(found) == _found(ReferenceSolver(ts, constraint).solutions(first_only=True))

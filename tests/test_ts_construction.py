@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import random
 import tracemalloc
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -256,21 +255,17 @@ def mutated_texts(draw):
     return newline.join(lines) + draw(st.sampled_from(["", newline]))
 
 
-@given(mutated_texts())
-@example(".ts\ninitial s0\nedge s$1 a$2 b$3\n")
-@example(".ts\ninitial s0\nedge s0 a$2 b$3\n")
-def test_parse_matches_the_listing_reference(text):
-    assert outcome(parse_ts, text) == outcome(reference_parse, text)
-
-
+# Every line boundary ``str.splitlines`` knows, among comment and blank pieces.
 LINE_PIECES = ["a", "b", " ", "\t", "#", "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x85",
                "\u2028"]
 
 
-@given(st.lists(st.sampled_from(LINE_PIECES), max_size=30).map("".join), st.integers(1, 8))
-def test_content_lines_match_splitlines_across_blocks(text, block):
-    with mock.patch.object(ts_module, "_BLOCK", block):
-        assert list(_content_lines(text)) == list(reference_content_lines(text))
+@given(st.one_of(mutated_texts(), st.lists(st.sampled_from(LINE_PIECES), max_size=30).map("".join)))
+@example(".ts\ninitial s0\nedge s$1 a$2 b$3\n")
+@example(".ts\ninitial s0\nedge s0 a$2 b$3\n")
+def test_parse_matches_the_listing_reference(text):
+    assert list(_content_lines(text)) == list(reference_content_lines(text))
+    assert outcome(parse_ts, text) == outcome(reference_parse, text)
 
 
 # -- equality -------------------------------------------------------------
