@@ -252,7 +252,7 @@ class _Pending:
         for eids in idx.event_edges:
             enabled = 0
             for eid in eids:
-                enabled |= 1 << idx.esrc[eid]
+                enabled |= 1 << idx.edges[eid][0]
             self.pending.append(full & ~enabled)
         self.total = sum(m.bit_count() for m in self.pending)
 

@@ -24,8 +24,7 @@ A solve costs what the constraint reaches, not what the system holds.
 The system (a :class:`~ensynth.ts.TransitionSystem` or a
 :class:`~ensynth.unions.TsUnion`, which is just a disconnected graph)
 owns one integer index, which ``ts`` defines and builds on first use for
-every layer; the system's first solve adds the solver's view to it (each
-edge as one triple, each state's active edges).  Full domains are
+every layer, and the solver reads it as it is.  Full domains are
 arc-consistent, so the propagation queue is seeded from the constraint
 only, and the search undoes a branch through a trail of domain changes
 instead of copying the domains at every frame.  The queue takes an edge
@@ -139,12 +138,16 @@ class Region:
     A region the solver found also holds its sorted member positions; one
     built from a bare mask reads them from the mask when first asked.  The
     signs of the events the region cuts are computed once, from its smaller
-    side, so a small region costs its own size, not the system's.
+    side, so a small region costs its own size, not the system's.  A mask
+    with a bit beyond the system's states, or a negative one, is refused
+    with ``ValueError``.
     """
 
     __slots__ = ("system", "mask", "_members", "_cut")
 
     def __init__(self, system, mask: int, _members: Optional[tuple[int, ...]] = None):
+        if mask < 0 or mask.bit_length() > len(system.states):
+            raise ValueError(f"mask {mask} is not a set of the system's states")
         self.system = system
         self.mask = mask
         self._members = _members
@@ -247,17 +250,19 @@ def _cut_signs(idx: _Index, side: tuple[int, ...], sign: int) -> Optional[dict[i
     when they are the members, -1 when they are the non-members.  Every
     cut edge has an end on ``side``, so the cost follows that side's edges.
     """
-    esrc, edst, eev = idx.esrc, idx.edst, idx.eev
+    edges = idx.edges
     on = set(side)
     signs: dict[int, int] = {}
     for s in side:
         for eid in idx.state_edges[s]:
-            d = (edst[eid] in on) - (esrc[eid] in on)
+            a, e, b = edges[eid]
+            d = (b in on) - (a in on)
             if d:
-                signs[eev[eid]] = d * sign
+                signs[e] = d * sign
     for e, d in signs.items():
         for eid in idx.event_edges[e]:
-            if ((edst[eid] in on) - (esrc[eid] in on)) * sign != d:
+            a, _, b = edges[eid]
+            if ((b in on) - (a in on)) * sign != d:
                 return None
     return signs
 
@@ -310,39 +315,23 @@ class _Unsatisfiable(Exception):
     pass
 
 
-def _solver_view(idx: _Index):
-    """(edges, adj): each edge as one (source, event, target) triple, and
-    each state's active edges.  Built on the system's first solve and kept
-    on its index; a system that is never solved does not pay for it."""
-    view = idx.solver_view
-    if view is None:
-        active = idx.active
-        view = idx.solver_view = (
-            tuple(zip(idx.esrc, idx.eev, idx.edst)),
-            tuple([y for y in ys if active[y]] for ys in idx.state_edges),
-        )
-    return view
-
-
 class _Solver:
     """Backtracking search over membership/signature domains.
 
     A solve allocates its domains and its queue flags, and reads every
-    other array from the index and its solver view.  Edges of
-    globally-unique events are excluded from propagation: a
-    single-occurrence event absorbs any membership difference, so such
-    edges never constrain anything and their signature is derived from the
-    solution afterwards.  A ±1 pin decides both ends of the event's single
-    edge while seeding; only a 0 pin leaves an edge that must keep
-    propagating, and only then are the view's per-state lists of active
-    edges copied and the two lists of that edge's ends patched.
+    other array from the system's index as it is.  An edge whose event
+    occurs once constrains nothing, since that event absorbs any
+    membership difference, and its signature is derived from the solution
+    afterwards: its queue flag starts set, so the kernel never queues it.
+    A pin on such an event clears its edge's flag in the solve's own flags,
+    and the edge then propagates like any other.
 
     The trail holds domain changes only, each as (array, position, old
     value), so a branch is undone by replaying it back to the frame's mark.
     The constraint's cone of influence is read from the domains: at every
     closure an event is in the cone iff its signature domain is narrowed
-    (``sig != 0b111``), since a decided end of an active edge rules out one
-    of -1 and +1 and a narrowed domain never widens.  The cone's open
+    (``sig != 0b111``), since a decided end of a propagating edge rules out
+    one of -1 and +1 and a narrowed domain never widens.  The cone's open
     events wait on a min-heap by declaration order, with lazy deletion.
     Generated gadget unions declare events in chain order, so branching on
     them first keeps conflicting choices chronologically close and stops
@@ -354,7 +343,11 @@ class _Solver:
         self.sys = sys
         self.idx = idx
         self.deadline = deadline
-        self.edges, self.adj = _solver_view(idx)
+        # One flag per edge, set while the edge is queued or revised, and
+        # from the start on an edge that constrains nothing; the extra last
+        # flag belongs to the assignment that starts a drain.
+        queued = self.queued = bytearray(idx.once)
+        queued.append(0)
         # The constraint as the (kind, position, bits) assignments that seed
         # the search, memberships first.
         pins = self.pins = []
@@ -367,20 +360,13 @@ class _Solver:
                 raise KeyError(f"unknown event {name!r} in constraint")
             e = idx.event_pos[name]
             edges = idx.event_edges[e]
-            if val == 0 and len(edges) == 1:
-                a, _, b = self.edges[edges[0]]
-                if self.adj is idx.solver_view[1]:
-                    self.adj = list(self.adj)
-                for x in {a, b}:
-                    self.adj[x] = [*self.adj[x], edges[0]]
+            if len(edges) == 1:
+                queued[edges[0]] = 0
             # An edgeless event has signature 0, so a ±1 pin leaves it no value.
             pins.append(("event", e, _SIG_BIT[val] & (_SIG_ALL if edges else 0b010)))
         self.mem = bytearray(b"\x03") * len(idx.states)
         self.sig = bytearray(b"\x07") * len(idx.events)
         self.queue: deque[int] = deque()
-        # One flag per edge, set while the edge is queued or revised; the
-        # extra last flag belongs to the assignment that starts a drain.
-        self.queued = bytearray(len(idx.esrc) + 1)
         self.trail: list[tuple] = []
         self.heap: list[int] = []
         # The search's frames, [trail mark, kind, var, values, next value
@@ -424,10 +410,11 @@ class _Solver:
         domain is still open, pushes its frame and applies its first value
         as the next sentinel assignment.  The kernel returns once no open
         event is left in the cone, and raises ``_Unsatisfiable`` on a
-        conflict.  The queue and every flag are clear on return and on
-        ``_Unsatisfiable``.
+        conflict.  The queue is empty and every flag is back at its value
+        before the call, on return and on ``_Unsatisfiable``.
         """
-        edges, adj, event_edges = self.edges, self.adj, self.idx.event_edges
+        idx = self.idx
+        edges, state_edges, event_edges = idx.edges, idx.state_edges, idx.event_edges
         mem, sig = self.mem, self.sig
         heap, stack, trail, deadline = self.heap, self.stack, self.trail, self.deadline
         queue, queued = self.queue, self.queued
@@ -451,8 +438,7 @@ class _Solver:
                     # an event join the cone.
                     log((sig, e, mg))
                     sig[e] = ng
-                    # Only events with active edges get here, and all their
-                    # edges are.
+                    # Only events whose edges propagate get here.
                     if ng & 0b010:  # skip the open edges
                         for x in event_edges[e]:
                             if not queued[x]:
@@ -470,7 +456,7 @@ class _Solver:
                         raise _Unsatisfiable
                     log((mem, s, ms))
                     mem[s] = ns
-                    for y in adj[s]:
+                    for y in state_edges[s]:
                         if queued[y]:
                             continue
                         a, f, b = edges[y]
@@ -551,10 +537,10 @@ class _Solver:
 
     def _pick_free(self):
         """Branch variable outside the cone: free events, then states."""
-        sig, repeated = self.sig, self.idx.repeated
+        sig, event_edges = self.sig, self.idx.event_edges
         for e in range(len(sig)):
             d = sig[e]
-            if repeated[e] and d & (d - 1):
+            if d & (d - 1) and len(event_edges[e]) > 1:
                 return ("event", e)
         for s, m in enumerate(self.mem):
             if m == _MEM_ALL:
@@ -677,16 +663,13 @@ def enumerate_regions(sys, cap: int = 22) -> list[Region]:
         raise ValueError(
             f"{n} states exceeds the enumeration cap {cap}; use solve_all_regions"
         )
-    esrc, eev, edst = idx.esrc, idx.eev, idx.edst
-    n_edges = len(esrc)
     sig_val = [0] * len(idx.events)
     sig_gen = [-1] * len(idx.events)
     out = []
     for mask in range(1 << n):
         ok = True
-        for eid in range(n_edges):
-            d = ((mask >> edst[eid]) & 1) - ((mask >> esrc[eid]) & 1)
-            e = eev[eid]
+        for s, e, t in idx.edges:
+            d = ((mask >> t) & 1) - ((mask >> s) & 1)
             if sig_gen[e] == mask:
                 if sig_val[e] != d:
                     ok = False

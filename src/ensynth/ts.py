@@ -90,20 +90,16 @@ def _first_bad_edge(state_set: set, event_set: set, edges: tuple[Edge, ...]) -> 
 class _Index:
     """Integer-indexed view of a system, built once and owned by the system.
 
-    ``repeated`` flags the events that occur more than once and ``active``
-    their edges: a single-occurrence event absorbs any membership
-    difference, so its edge constrains nothing.  ``positions`` holds each
-    state position as one shared int, which ``state_pos``, the edge arrays
-    and the member tuples of regions reuse.  ``component`` holds the
-    component id of each state position.  ``solver_view`` is the region
-    solver's own view, which ``ensynth.regions`` builds on the system's
-    first solve, so that a system never solved does not pay for it.
+    ``edges`` holds each edge once, as a (source, event, target) triple of
+    positions, and ``once`` flags the edges whose event occurs only once.
+    ``positions`` holds each state position as one shared int, which
+    ``state_pos``, the edge triples and the member tuples of regions reuse.
+    ``component`` holds the component id of each state position.
     """
 
     __slots__ = (
-        "states", "events", "state_pos", "event_pos", "esrc", "eev", "edst",
-        "event_edges", "state_edges", "active", "repeated", "positions",
-        "component", "solver_view",
+        "states", "events", "state_pos", "event_pos", "edges", "event_edges",
+        "state_edges", "once", "positions", "component",
     )
 
     def __init__(self, sys):
@@ -113,22 +109,18 @@ class _Index:
         state_pos = self.state_pos = dict(zip(self.states, self.positions))
         event_pos = self.event_pos = {e: i for i, e in enumerate(self.events)}
         self.component = sys._component_ids()
-        esrc, eev, edst = [], [], []
+        edges = []
         event_edges = self.event_edges = [[] for _ in self.events]
         state_edges = self.state_edges = [[] for _ in self.states]
         for src, ev, dst in sys.edges:
-            eid = len(esrc)
+            eid = len(edges)
             s, e, t = state_pos[src], event_pos[ev], state_pos[dst]
-            esrc.append(s)
-            eev.append(e)
-            edst.append(t)
+            edges.append((s, e, t))
             event_edges[e].append(eid)
             state_edges[s].append(eid)
             state_edges[t].append(eid)
-        self.esrc, self.eev, self.edst = tuple(esrc), tuple(eev), tuple(edst)
-        self.repeated = bytearray(len(es) > 1 for es in event_edges)
-        self.active = bytearray(self.repeated[e] for e in eev)
-        self.solver_view = None
+        self.edges = tuple(edges)
+        self.once = bytes(len(event_edges[e]) == 1 for _, e, _ in edges)
 
 
 def _indexed(sys) -> _Index:
@@ -164,8 +156,9 @@ class _System:
         """
         idx = _indexed(self)
         s = idx.state_pos[state]
-        return {idx.events[idx.eev[i]]: idx.states[idx.edst[i]]
-                for i in idx.state_edges[s] if idx.esrc[i] == s}
+        edges = idx.edges
+        return {idx.events[e]: idx.states[t]
+                for a, e, t in map(edges.__getitem__, idx.state_edges[s]) if a == s}
 
     def has_edge(self, state: str, event: str) -> bool:
         return event in self.successors(state)
@@ -349,8 +342,8 @@ def validate(ts: TransitionSystem) -> ValidationReport:
     while frontier:
         s = frontier.pop()
         for eid in idx.state_edges[s]:  # every edge, not one per event
-            t = idx.edst[eid]
-            if idx.esrc[eid] == s and t not in reached:
+            a, _, t = idx.edges[eid]
+            if a == s and t not in reached:
                 reached.add(t)
                 frontier.append(t)
     unreached = tuple(s for s, i in idx.state_pos.items() if i not in reached)

@@ -202,6 +202,17 @@ def test_region_from_members_rejects_non_region(master):
         Region.from_members(master, ["m0"])
 
 
+@pytest.mark.parametrize("mask", [-1, 1 << 4, 1 << 10])
+def test_region_refuses_a_mask_outside_the_system(mask):
+    """A negative mask read as members s0 and s1 yet held s2, and a bit
+    beyond the four states made an empty region unequal to the empty
+    region; the mask of all four states is a region."""
+    ts = TransitionSystem.chain(["a", "b", "a"])
+    with pytest.raises(ValueError, match="not a set of the system's states"):
+        Region(ts, mask)
+    assert Region(ts, (1 << 4) - 1).members == ts.states
+
+
 def test_restrict_projects_onto_component(master):
     from ensynth.unions import make_union
 

@@ -17,9 +17,8 @@ some with an edgeless event and some with self-loops (R(s) = R(s) +
 sig(e)), are checked under random constraints.  Fixed instances cover a
 solve that backtracks, an event that backtracking reopens, both ways
 ``_solution`` reads the members, an event narrowed in place (and a
-self-loop, where that must not happen), and the one constraint for which a
-solve copies its view's per-state lists: a once-occurring event pinned
-to 0.
+self-loop, where that must not happen), and pins on a once-occurring event,
+whose edge propagates only in the solve that pins it.
 """
 
 import random
@@ -28,14 +27,14 @@ from heapq import heappop, heappush
 from typing import Optional
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ensynth import regions
 from ensynth.regions import (
     _MEM_ALL, _MEMBER_DIGITS, _SIG_BIT, Region, RegionConstraint, _indexed, _revise,
     _Solver, _Unsatisfiable, solve_all_regions, solve_region,
 )
-from ensynth.ts import TransitionSystem
+from ensynth.ts import TransitionSystem, _Index
 from ensynth.unions import TsUnion
 
 from test_solver_differential import systems
@@ -49,8 +48,21 @@ REFERENCE_REVISE = tuple(
 )
 
 
+def _columns(idx):
+    """The edge columns and flags that the earlier index kept, derived from
+    its edge triples: each edge's source, event and target, ``repeated``
+    per event and ``active`` per edge."""
+    esrc = tuple(s for s, _, _ in idx.edges)
+    eev = tuple(e for _, e, _ in idx.edges)
+    edst = tuple(t for _, _, t in idx.edges)
+    repeated = bytearray(len(es) > 1 for es in idx.event_edges)
+    active = bytearray(repeated[e] for e in eev)
+    return esrc, eev, edst, active, repeated
+
+
 class ReferenceSolver:
-    """The earlier solver, verbatim but for its name and ``_REVISE``.
+    """The earlier solver, verbatim but for its name, ``_REVISE`` and the
+    columns it reads, which ``_columns`` derives from the index.
 
     Edges of globally-unique events are excluded from propagation unless
     the constraint pins their signature: a single-occurrence event absorbs
@@ -77,10 +89,11 @@ class ReferenceSolver:
         self.sig = bytearray(b"\x07") * len(idx.events)
         self.queue: deque[int] = deque()
         self.trail: list[tuple] = []
+        self.esrc, self.eev, self.edst, active, repeated = _columns(idx)
 
         # Events eligible for branching: repeated events and pinned ones.
-        self.active = bytearray(idx.active)
-        self.branchable = bytearray(idx.repeated)
+        self.active = active
+        self.branchable = repeated
         for ev in constraint.signature:
             e = idx.event_pos[ev]
             if not self.branchable[e]:
@@ -131,7 +144,7 @@ class ReferenceSolver:
             raise _Unsatisfiable
         self.trail.append((mem, s, old))
         mem[s] = new
-        active, eev, queue = self.active, self.idx.eev, self.queue
+        active, eev, queue = self.active, self.eev, self.queue
         for eid in self.idx.state_edges[s]:
             if active[eid]:
                 queue.append(eid)
@@ -153,8 +166,7 @@ class ReferenceSolver:
 
     def _drain(self):
         """Arc-consistency over the edge equations R(t) = R(s) + sig(e)."""
-        idx = self.idx
-        esrc, eev, edst = idx.esrc, idx.eev, idx.edst
+        esrc, eev, edst = self.esrc, self.eev, self.edst
         queue = self.queue
         mem, sig = self.mem, self.sig
         while queue:
@@ -326,6 +338,18 @@ def _found(regions):
     return [(r.mask, r._members) for r in regions]
 
 
+def _flags(solver) -> bytearray:
+    """The queue flags a solve starts from: the index's ``once`` flags with
+    the flag of each once-occurring event's edge that the constraint pins
+    cleared, and the sentinel's."""
+    idx = _indexed(solver.sys)
+    flags = bytearray(idx.once) + b"\x00"
+    for kind, var, _ in solver.pins:
+        if kind == "event" and len(idx.event_edges[var]) == 1:
+            flags[idx.event_edges[var][0]] = 0
+    return flags
+
+
 def _seeded(solver) -> bool:
     """Run seeding, the search's first step, on its own: propagate each of
     the constraint's assignments to closure, with no frame pushed.  True
@@ -350,7 +374,7 @@ def test_seeding_matches_the_reference(sys_obj, data):
         assert solver.mem == reference.mem
         assert solver.sig == reference.sig
         assert bytearray(d != 0b111 for d in solver.sig) == reference.touched
-    assert not solver.queue and not any(solver.queued)
+    assert not solver.queue and solver.queued == _flags(solver)
 
 
 @EXAMPLES
@@ -394,15 +418,28 @@ class _CheckedSolver(_Solver):
     variable, value), read from its top frame, and checks there that the
     trail holds domain changes only and, there and after every undo, that
     every open event of the cone waits on the heap.  ``push`` records the
-    domain of every event pushed on the heap."""
+    domain of every event pushed on the heap and checks that the kernel
+    pushes an event only as it narrows it in place: to the two values that
+    the edge rule leaves it on one of its edges with exactly one decided
+    end."""
 
     def __init__(self, sys_obj, constraint):
-        self.taken, self.pushed = [], []
+        self.taken, self.pushed, self.undoing = [], [], False
         super().__init__(sys_obj, constraint, self)
 
     def push(self, heap, e):
         self.pushed.append(self.sig[e])
+        if not self.undoing:
+            assert self.sig[e] in self._narrowings(e)
         heappush(heap, e)
+
+    def _narrowings(self, e):
+        """The domains the edge rule leaves the full event ``e`` on each of
+        its edges with exactly one decided end."""
+        mem, edges = self.mem, self.idx.edges
+        return {_revise(mem[a], 0b111, mem[b])[1]
+                for a, _, b in map(edges.__getitem__, self.idx.event_edges[e])
+                if (mem[a] == _MEM_ALL) != (mem[b] == _MEM_ALL)}
 
     def check(self):
         _, kind, var, values, i = self.stack[-1]
@@ -411,7 +448,9 @@ class _CheckedSolver(_Solver):
         assert _open_cone(self) <= set(self.heap)
 
     def _undo(self, mark):
+        self.undoing = True
         super()._undo(mark)
+        self.undoing = False
         assert _open_cone(self) <= set(self.heap)
 
 
@@ -445,16 +484,42 @@ def _tight_constraints(draw, sys_obj):
     )
 
 
+@st.composite
+def _self_looped(draw, sys_obj):
+    """``sys_obj`` with one more self-loop s -e-> s in one component, by an
+    event e that has an edge already and does not leave s, and the state s.
+    The self-loop is the component's first edge, so it is the first edge of
+    e that deciding s meets."""
+    comps = [sys_obj] if isinstance(sys_obj, TransitionSystem) else list(sys_obj.components)
+    i = draw(st.integers(0, len(comps) - 1))
+    ts = comps[i]
+    used = {ev for _, ev, _ in sys_obj.edges}
+    leaving = {(src, ev) for src, ev, _ in ts.edges}
+    pairs = [(s, e) for s in ts.states for e in ts.events if e in used and (s, e) not in leaving]
+    assume(pairs)
+    s, e = draw(st.sampled_from(pairs))
+    comps[i] = TransitionSystem(ts.states, ts.events, ts.initial, ((s, e, s), *ts.edges))
+    return (comps[0] if len(comps) == 1 else TsUnion(comps)), s
+
+
 @settings(max_examples=200, deadline=None)
 @given(looped_systems(), st.data())
 def test_search_matches_the_reference_branch_by_branch(sys_obj, data):
     """``solve_region`` (first only) and ``solve_all_regions`` (every
     region) take the reference's branches in its order and find its
     regions; the trail holds domain changes only, the heap takes only
-    events whose domain narrowed to an open one, and it holds every open
-    event of the cone at every branch."""
+    events that the kernel narrowed in place to an open domain, and it
+    holds every open event of the cone at every branch.  Half the draws
+    add a self-loop by a repeated event and pin its state first, which so
+    is decided while the event is still full."""
+    looped = None
+    if data.draw(st.booleans()):
+        sys_obj, looped = data.draw(_self_looped(sys_obj))
     tight = data.draw(st.booleans())
     constraint = data.draw(_tight_constraints(sys_obj)) if tight else _constraint(data, sys_obj)
+    if looped is not None:
+        membership = {looped: data.draw(st.integers(0, 1)), **constraint.membership}
+        constraint = RegionConstraint(membership, constraint.signature)
     _assert_search_matches_the_reference(sys_obj, constraint)
 
 
@@ -483,8 +548,8 @@ def test_an_event_reopened_by_backtracking_is_branched_on_again(word, membership
 # -- fixed instances -----------------------------------------------------------
 
 class _WatchedSolver(_Solver):
-    """Records each propagation's outcome and whether it left the queue and
-    every ``queued`` flag clear."""
+    """Records each propagation's outcome and whether it left the queue
+    empty and the ``queued`` flags as the solve began."""
 
     def __init__(self, *args):
         self.outcomes = []
@@ -498,7 +563,7 @@ class _WatchedSolver(_Solver):
             outcome = "conflict"
             raise
         finally:
-            self.outcomes.append((outcome, not self.queue and not any(self.queued)))
+            self.outcomes.append((outcome, not self.queue and self.queued == _flags(self)))
 
 
 def test_a_solve_that_backtracks_leaves_every_flag_clear():
@@ -573,9 +638,9 @@ def test_a_self_loop_at_a_newly_decided_state_is_revised_not_narrowed_in_place()
 
 def test_a_zero_pinned_once_occurring_event_is_narrowed_in_place_on_its_patched_edge():
     """In s0 -a-> s1 -u-> s2 -a-> s3 the membership s1 = 1 is seeded before
-    the pin u = 0, so deciding s1 meets the edge of u, which only the
-    solver's patched lists hold, while u is still full: u is narrowed in
-    place to {-1, 0}, and the pin then leaves it 0."""
+    the pin u = 0, so deciding s1 meets the edge of u, which propagates only
+    because the pin cleared its flag, while u is still full: u is narrowed
+    in place to {-1, 0}, and the pin then leaves it 0."""
     ts = TransitionSystem.chain(["a", "u", "a"])
     constraint = RegionConstraint(membership={"s1": 1}, signature={"u": 0})
     solver, reference = _Solver(ts, constraint), ReferenceSolver(ts, constraint)
@@ -590,10 +655,26 @@ def test_a_zero_pinned_once_occurring_event_is_narrowed_in_place_on_its_patched_
 
 # -- what a solve copies --------------------------------------------------------
 
+def _assert_reads_the_index(solver, pinned_edges):
+    """The solve allocates its domains, flags, trail and heap and reads the
+    rest from the index, which it leaves as built; its flags differ from
+    the index's ``once`` at exactly the edges its pins clear."""
+    idx = _indexed(solver.sys)
+    built = _Index(solver.sys)
+    assert solver.idx is idx
+    assert idx.edges == built.edges and idx.state_edges == built.state_edges
+    assert idx.once == built.once
+    arrays = {name for name, value in vars(solver).items()
+              if isinstance(value, (list, tuple, bytes, bytearray))}
+    assert arrays <= {"pins", "mem", "sig", "queued", "trail", "heap", "stack"}
+    flags = bytearray(idx.once) + b"\x00"
+    assert [y for y, (a, b) in enumerate(zip(flags, solver.queued)) if a != b] == pinned_edges
+
+
 def test_a_once_occurring_event_pinned_to_zero_carries_a_decided_end():
     """In s0 -a-> s1 -u-> s2 -a-> s3 the pin u = 0 meets an open edge, and
-    s2 is decided only by the branch on a; the edge of u, which the index
-    leaves inactive, must then decide s1 too."""
+    s2 is decided only by the branch on a; the edge of u, whose flag the
+    index sets and the pin clears, must then decide s1 too."""
     ts = TransitionSystem.chain(["a", "u", "a"])
     constraint = RegionConstraint(membership={"s3": 1}, signature={"u": 0})
     solver = _Solver(ts, constraint)
@@ -603,19 +684,39 @@ def test_a_once_occurring_event_pinned_to_zero_carries_a_decided_end():
     assert _found(found) == _found(expected)
     assert _found(solve_all_regions(ts, constraint)) == _found(
         ReferenceSolver(ts, constraint).solutions())
-    adj = _indexed(ts).solver_view[1]  # the patch is the solver's own
-    assert solver.adj is not adj and 1 not in adj[1] + adj[2]
-    assert 1 in solver.adj[1] and 1 in solver.adj[2]
+    _assert_reads_the_index(solver, [1])
 
 
-@pytest.mark.parametrize("constraint", [
-    RegionConstraint(membership={"s1": 1, "s3": 0}),  # an SSP query
-    RegionConstraint(membership={"s3": 0}, signature={"a": -1}),  # ESSP, a repeated event
-    RegionConstraint(membership={"s0": 0}, signature={"u": -1}),  # ESSP, a once-occurring one
+@pytest.mark.parametrize("constraint, pinned_edges", [
+    (RegionConstraint(membership={"s1": 1, "s3": 0}), []),  # an SSP query
+    (RegionConstraint(membership={"s3": 0}, signature={"a": -1}), []),  # ESSP, a repeated event
+    (RegionConstraint(membership={"s0": 0}, signature={"u": -1}), [1]),  # ESSP, a once-occurring one
 ])
-def test_sweep_constraints_copy_no_index_array(constraint):
+def test_sweep_constraints_copy_no_index_array(constraint, pinned_edges):
     ts = TransitionSystem.chain(["a", "u", "a"])
     solver = _Solver(ts, constraint)
-    assert solver.adj is _indexed(ts).solver_view[1]
+    _assert_reads_the_index(solver, pinned_edges)
     found = list(solver.solutions(first_only=True))
     assert _found(found) == _found(ReferenceSolver(ts, constraint).solutions(first_only=True))
+
+
+@pytest.mark.parametrize("membership, seeds, u_trail", [
+    ({"s0": 1}, True, [0b111, 0b011]),
+    ({"s0": 0}, False, [0b111]),
+])
+def test_a_state_pin_decides_an_end_of_a_once_occurring_edge_before_its_event_pin(
+        membership, seeds, u_trail):
+    """In s0 -u-> s1 -a-> s2 -a-> s3 the membership of s0 is seeded before
+    the pin u = -1, and the pin has already cleared the flag of u's edge: so
+    deciding s0 narrows the full u in place, to {-1, 0} under s0 = 1, which
+    the pin then decides, and to {0, +1} under s0 = 0, which the pin
+    empties."""
+    ts = TransitionSystem.chain(["u", "a", "a"])
+    constraint = RegionConstraint(membership=membership, signature={"u": -1})
+    solver, reference = _Solver(ts, constraint), ReferenceSolver(ts, constraint)
+    assert _seeded(solver) is seeds and reference.failed is not seeds
+    if seeds:
+        assert solver.mem == reference.mem and solver.sig == reference.sig
+    assert _sig_trail(solver, "u") == u_trail
+    assert not solver.queue and solver.queued == _flags(solver)
+    _assert_search_matches_the_reference(ts, constraint)

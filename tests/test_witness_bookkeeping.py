@@ -45,7 +45,9 @@ def _smaller_side(bits: bytes):
 
 
 def reference_cut_signs(idx, bits: bytes):
-    esrc, edst, eev = idx.esrc, idx.edst, idx.eev
+    esrc = tuple(s for s, _, _ in idx.edges)
+    eev = tuple(e for _, e, _ in idx.edges)
+    edst = tuple(t for _, _, t in idx.edges)
     signs = {}
     for s in _smaller_side(bits):
         for eid in idx.state_edges[s]:
