@@ -146,9 +146,10 @@ def _cmd_check(args) -> int:
     payload = {"property": kind, "holds": verdict.holds}
     if verdict.holds:
         regions = verdict.witnesses.regions
-        payload["witnesses"] = [_region_payload(r) for r in regions]
         lines.append(f"witnesses: {len(regions)} regions")
-        if args.verbose_witnesses:
+        if args.format == "json":
+            payload["witnesses"] = [_region_payload(r) for r in regions]
+        elif args.verbose_witnesses:
             lines.extend(format_region(r) for r in regions)
     else:
         payload["counterexamples"] = [

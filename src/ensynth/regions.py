@@ -395,10 +395,11 @@ class _Solver:
           at either end queues them;
         * a newly decided state does not queue an edge whose event is full
           and whose other end is undecided, since its revision could only
-          narrow the event to two values: the kernel does that in place,
-          and queues the event's other edges that are not open.  The edge
-          is then consistent, and a later change to its event or its other
-          end queues it.
+          narrow the event to two values: the kernel does that in place.
+          The edge is then consistent, and a later change to its event or
+          its other end queues it.  The event's other edges at the state
+          are queued by the state's own loop; those elsewhere stay open,
+          since an unqueued edge of a full event is consistent only if open.
 
         A revision yields the new domains of its source, event and target,
         and the kernel makes the event's change, then the source's, then
@@ -465,20 +466,11 @@ class _Solver:
                             if g:
                                 # The other end is undecided, so y's
                                 # revision could only narrow f to g: do it
-                                # here, which leaves y consistent, and queue
-                                # f's other edges that are not open (y is
-                                # flagged meanwhile, so it is skipped).
+                                # here.  This loop queues f's other edges at
+                                # s, and f's edges elsewhere stay open.
                                 log((sig, f, _SIG_ALL))
                                 sig[f] = g
                                 heappush(heap, f)
-                                queued[y] = 1
-                                for z in event_edges[f]:
-                                    if not queued[z]:
-                                        a, _, b = edges[z]
-                                        if mem[a] & mem[b] != _MEM_ALL:
-                                            queued[z] = 1
-                                            push(z)
-                                queued[y] = 0
                                 continue
                         queued[y] = 1
                         push(y)

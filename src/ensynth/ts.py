@@ -92,6 +92,7 @@ class _Index:
 
     ``edges`` holds each edge once, as a (source, event, target) triple of
     positions, and ``once`` flags the edges whose event occurs only once.
+    ``state_edges`` lists each state's edges once, a self-loop included.
     ``positions`` holds each state position as one shared int, which
     ``state_pos``, the edge triples and the member tuples of regions reuse.
     ``component`` holds the component id of each state position.
@@ -118,7 +119,8 @@ class _Index:
             edges.append((s, e, t))
             event_edges[e].append(eid)
             state_edges[s].append(eid)
-            state_edges[t].append(eid)
+            if t != s:
+                state_edges[t].append(eid)
         self.edges = tuple(edges)
         self.once = bytes(len(event_edges[e]) == 1 for _, e, _ in edges)
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import ensynth
+from ensynth import cli
 from ensynth.cli import export_dot, main, run
 from ensynth.reductions import (
     CubicMonotoneFormula, build_2grade2_essp, build_linear3_essp, serialize_cnf3)
@@ -144,6 +145,30 @@ def test_json_format(files, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["holds"] is False
     assert payload["counterexamples"][0]["kind"] == "ssp"
+
+
+def test_each_format_builds_only_its_own_witness_output(files, capsys, monkeypatch):
+    """Text output never builds the JSON witness payloads, and JSON output
+    never formats a witness as text, though both print the same bytes."""
+    path = str(files / "master.ts")
+    text = ["--verbose-witnesses", "check-ssp", path]
+    as_json = ["--format", "json", *text]
+    assert run(text) == 0
+    text_out = capsys.readouterr().out
+    assert run(as_json) == 0
+    json_out = capsys.readouterr().out
+    assert json.loads(json_out)["witnesses"]
+
+    def refuse(region):
+        raise AssertionError("built for the other format")
+
+    monkeypatch.setattr(cli, "_region_payload", refuse)
+    assert run(text) == 0
+    assert capsys.readouterr().out == text_out
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "format_region", refuse)
+    assert run(as_json) == 0
+    assert capsys.readouterr().out == json_out
 
 
 def test_synthesize_and_reach_graph(files, capsys):

@@ -407,6 +407,17 @@ def test_index_holds_no_per_state_maps(word):
     assert kept < 40 * MB
 
 
+def test_a_state_lists_each_of_its_edges_once():
+    """A self-loop is listed once at its state, every other edge once at
+    each end, so deciding a state meets each of its edges once."""
+    ts = TransitionSystem(
+        ["s0", "s1", "s2"], ["a", "b", "c"], "s0",
+        [("s0", "a", "s1"), ("s1", "b", "s1"), ("s1", "c", "s2"), ("s2", "b", "s2")],
+    )
+    idx = _indexed(ts)
+    assert idx.state_edges == [[0], [0, 1, 2], [2, 3]]
+
+
 def test_in_order_chain_is_recognised_without_a_per_edge_map(word):
     ts = TransitionSystem.chain(word)
     (states, chain_word), kept, peak = traced(lambda: _linear_chain(ts))
