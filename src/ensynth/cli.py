@@ -97,6 +97,16 @@ def _region_payload(region: Region) -> dict:
     }
 
 
+def _emit_verdict(args, verdict, payload: dict, lines: list[str]) -> int:
+    """Emit a verdict's output, with its counterexamples if it fails; return its exit code."""
+    if not verdict.holds:
+        payload["counterexamples"] = [
+            {"kind": q.kind, "a": q.a, "b": q.b} for q in verdict.failures]
+        lines.extend(f"counterexample: {q}" for q in verdict.failures)
+    _emit(args, payload, lines)
+    return 0 if verdict.holds else 1
+
+
 def _cmd_validate(args) -> int:
     ts = _load_ts(args)
     report = validate(ts)
@@ -151,13 +161,7 @@ def _cmd_check(args) -> int:
             payload["witnesses"] = [_region_payload(r) for r in regions]
         elif args.verbose_witnesses:
             lines.extend(format_region(r) for r in regions)
-    else:
-        payload["counterexamples"] = [
-            {"kind": q.kind, "a": q.a, "b": q.b} for q in verdict.failures
-        ]
-        lines.extend(f"counterexample: {q}" for q in verdict.failures)
-    _emit(args, payload, lines)
-    return 0 if verdict.holds else 1
+    return _emit_verdict(args, verdict, payload, lines)
 
 
 def _cmd_separator(args) -> int:
@@ -180,22 +184,12 @@ def _cmd_separator(args) -> int:
 def _cmd_linear2_ssp(args) -> int:
     ts = _load_ts(args)
     verdict = linear2.linear2_ssp(ts)
+    payload = {"property": "linear2-SSP", "holds": verdict.holds}
+    lines = []
     if verdict.holds:
-        _emit(
-            args,
-            {"property": "linear2-SSP", "holds": True,
-             "pairs": len(verdict.separators)},
-            [f"SSP: holds ({len(verdict.separators)} pairs witnessed)"],
-        )
-        return 0
-    q = verdict.counterexample
-    _emit(
-        args,
-        {"property": "linear2-SSP", "holds": False,
-         "counterexamples": [{"kind": q.kind, "a": q.a, "b": q.b}]},
-        [f"counterexample: {q}"],
-    )
-    return 1
+        payload["pairs"] = len(verdict.separators)
+        lines.append(f"SSP: holds ({len(verdict.separators)} pairs witnessed)")
+    return _emit_verdict(args, verdict, payload, lines)
 
 
 def _cmd_synthesize(args) -> int:

@@ -22,8 +22,8 @@ from types import MappingProxyType
 from typing import NamedTuple, Optional
 
 from .properties import SeparationQuery, Verdict, WitnessMap
-from .regions import Region
-from .ts import TransitionSystem, _indexed, _linear_chain
+from .regions import Region, _named_region
+from .ts import TransitionSystem, _linear_chain
 
 __all__ = [
     "second_occurrence_index",
@@ -162,8 +162,8 @@ def _region_from_changes(
     is 1 up to the first exit when an exit comes first, from each entry to
     the next exit, and from a last entry to the end of the chain.  These
     are at most three runs of chain states, so the mask costs a few big-int
-    shifts when the states are declared in chain order, and one digit per
-    member state otherwise.
+    shifts when the states are declared in chain order; otherwise
+    ``regions`` builds it from the member states.
     """
     runs, lo = [], 0
     for p, d in changes:
@@ -174,15 +174,8 @@ def _region_from_changes(
     if changes[-1][1] == 1:
         runs.append((lo, len(lin.states) - 1))
     if lin.states is ts.states:  # state k is bit k of a mask
-        mask = sum((1 << (hi + 1)) - (1 << lo) for lo, hi in runs)
-    else:
-        pos = _indexed(ts).state_pos
-        digits = bytearray(b"0" * len(lin.states))
-        for lo, hi in runs:
-            for state in lin.states[lo:hi + 1]:
-                digits[-1 - pos[state]] = 0x31  # ASCII "1" for bit pos[state]
-        mask = int(digits, 2)
-    return Region(ts, mask)
+        return Region(ts, sum((1 << (hi + 1)) - (1 << lo) for lo, hi in runs))
+    return _named_region(ts, (s for lo, hi in runs for s in lin.states[lo:hi + 1]))
 
 
 def separator(
@@ -202,20 +195,18 @@ def separator(
         raise IndexError(f"indices ({i}, {j}) out of range for chain length {n}")
     if index is not None and (index if isinstance(index, list) else list(index)) != lin.index:
         raise ValueError("index is not the other-occurrence index of this chain")
-    return _separator(ts, lin, i, j)
+    return _separator(ts, lin, i, j, {})
 
 
 def _separator(ts: TransitionSystem, lin: _Linear2, i: int, j: int,
-               shared: dict[int, SeparatorResult] | None = None) -> SeparatorResult:
-    """The body of :func:`separator`, on valid indices.  ``shared``, if
-    given, maps a unique edge to its result, so that the pairs it
-    separates share one object."""
+               shared: dict[int, SeparatorResult]) -> SeparatorResult:
+    """The body of :func:`separator`, on valid indices.  ``shared`` maps
+    a unique edge to its result, so that the pairs it separates share one
+    object."""
     # Phase 1: the first unique event between s_i and s_j exits alone; the
     # scan stops at its edge.
     k = lin.unique.find(1, i, j)
     if k != -1:
-        if shared is None:
-            return _result(ts, lin, k)
         if k not in shared:
             shared[k] = _result(ts, lin, k)
         return shared[k]

@@ -13,6 +13,8 @@ open query of a row, and every region found or given is absorbed into the
 set, which drops every open query the region answers, before the solver
 is consulted again.  Rows and their queries are scanned in declaration
 order, so counterexamples and witnesses are deterministic.
+``_queries`` lists a kind's queries in that order: the one ESSP query
+rule, which the witness map and ``build_linear3_ssp``'s gadgets follow.
 """
 
 from __future__ import annotations
@@ -113,11 +115,8 @@ class WitnessMap(Mapping):
     def __iter__(self):
         """The queries in sweep order: the intra-component state pairs, then
         the (event, state) pairs with the event not enabled, events outer."""
-        idx = _indexed(self._sys)
         for kind in self._kinds:
-            queries = _QUERIES[kind](idx)
-            for row in queries.rows:
-                yield from queries.open(row)
+            yield from _queries(self._sys, kind)
 
     def __len__(self):
         """The query count, from block sizes and per-event counts."""
@@ -276,6 +275,14 @@ class _Pending:
 
 
 _QUERIES = {"ssp": _Partition, "essp": _Pending}
+
+
+def _queries(sys, kind: str):
+    """Every query of ``kind`` on ``sys``, in sweep order; for "essp", the
+    (event, state) pairs whose event is not enabled, events outer."""
+    queries = _QUERIES[kind](_indexed(sys))
+    for row in queries.rows:
+        yield from queries.open(row)
 
 
 def _sweep(sys, deadline: _Deadline, queries, regions: list[Region], exhaustive: bool):

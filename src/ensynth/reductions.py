@@ -4,7 +4,8 @@ The source problem is cubic monotone one-in-three 3-SAT: m clauses of
 three positive variables, every variable in exactly three clauses.  Two
 constructions target event/state separation (linear 3-fold and 2-grade
 2-fold); two reduce separation problems between TS classes (linear 3-ESSP
-to linear 3-SSP, and linear 3-fold SSP to 2-grade 2-fold SSP).
+to linear 3-SSP, and linear 3-fold SSP to 2-grade 2-fold SSP).  ESSP
+queries follow the deciders' one rule, ``properties._queries``.
 
 Generated identifiers follow a fixed scheme: master states m0..m8,
 refresher states f_<j>_<n>, key copies k_<n>, zeros z<n>, opposites o<n>
@@ -20,6 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+from .properties import _queries
 from .regions import Region
 from .ts import ParseError, TransitionSystem, _content_lines, _linear_chain, classify
 from .unions import JoinPlan, TsUnion, default_join_plan, make_union, rectified_name, rectify
@@ -166,6 +168,26 @@ class GadgetInstance:
     key_pairs: tuple[tuple[str, str], ...] = ()
 
 
+def _instance(components: list[TransitionSystem], plan: JoinPlan | None = None,
+              **keys) -> GadgetInstance:
+    """The instance of the union of ``components``, joined by ``plan``, by
+    default at the last states of its linear components."""
+    union = make_union(components)
+    return GadgetInstance(union, default_join_plan(union) if plan is None else plan, **keys)
+
+
+def _clause_count(formula: CubicMonotoneFormula) -> int:
+    if formula.m < 1:
+        raise ValueError("the construction needs at least one clause")
+    return formula.m
+
+
+def _check_linear3(ts: TransitionSystem) -> None:
+    cls = classify(ts)
+    if not cls.linear or cls.manifoldness > 3:
+        raise ValueError("the construction expects a linear 3-fold input")
+
+
 # -- linear 3-fold ESSP construction --------------------------------------
 
 
@@ -228,20 +250,13 @@ def build_linear3_essp(formula: CubicMonotoneFormula) -> GadgetInstance:
     The key event k is inhibitable at the key state m6 iff the formula has
     a one-in-three model; the joined TS is a linear 3-fold chain.
     """
-    m = formula.m
-    if m < 1:
-        raise ValueError("the construction needs at least one clause")
+    m = _clause_count(formula)
     components: list[TransitionSystem] = [_lin3_master()]
     components.extend(_lin3_refresher(j) for j in range(6 * m))
     components.extend(_lin3_duplicator(j) for j in range(6 * m))
     for i, clause in enumerate(formula.clauses):
         components.extend(_translator(i, clause, "X{v}"))
-    union = make_union(components)
-    return GadgetInstance(
-        union=union,
-        join_plan=default_join_plan(union),
-        key_query=("k", "m6"),
-    )
+    return _instance(components, key_query=("k", "m6"))
 
 
 def _translator_template(i: int, position: int) -> set[str]:
@@ -363,31 +378,21 @@ def _query_sub_union(
 def build_linear3_ssp(ts: TransitionSystem) -> GadgetInstance:
     """Aggregate union with two key states per (event, state) query.
 
-    For every event e and state s without an outgoing e-edge, a rectified
-    sub-union of mapper, five duplicators, provider, and an enhanced copy
-    of the input is emitted; its key states (e:s:m0, e:s:m1) are separable
-    iff e is inhibitable at s.  The joined TS is linear and 3-fold.
+    For every ESSP query (e, s) in sweep order, a sub-union of mapper,
+    five duplicators, provider, and an enhanced copy of the input is
+    rectified by (e, s) and emitted; its key states (e:s:m0, e:s:m1) are
+    separable iff e is inhibitable at s.  The joined TS is linear 3-fold.
     """
-    cls = classify(ts)
-    if not cls.linear or cls.manifoldness > 3:
-        raise ValueError("the construction expects a linear 3-fold input")
+    _check_linear3(ts)
     components: list[TransitionSystem] = []
     key_pairs: list[tuple[str, str]] = []
-    for event in ts.events:
-        for state in ts.states:
-            if ts.has_edge(state, event):
-                continue
-            sub, pair = _query_sub_union(ts, event, state)
-            components.extend(rectify(sub, (event, state)).components)
-            key_pairs.append(tuple(rectified_name((event, state), x) for x in pair))
+    for tag in ((q.a, q.b) for q in _queries(ts, "essp")):
+        sub, pair = _query_sub_union(ts, *tag)
+        components.extend(rectify(sub, tag).components)
+        key_pairs.append(tuple(rectified_name(tag, x) for x in pair))
     if not components:
         raise ValueError("input admits no (event, state) separation queries")
-    union = make_union(components)
-    return GadgetInstance(
-        union=union,
-        join_plan=default_join_plan(union),
-        key_pairs=tuple(key_pairs),
-    )
+    return _instance(components, key_pairs=tuple(key_pairs))
 
 
 # -- 2-grade 2-fold ESSP construction --------------------------------------
@@ -467,9 +472,7 @@ def build_2grade2_essp(formula: CubicMonotoneFormula) -> GadgetInstance:
     one-in-three model.  The barters consume the free key copies left
     after the translators (k with subscripts 18m+6q+2 and 18m+6q+5).
     """
-    m = formula.m
-    if m < 1:
-        raise ValueError("the construction needs at least one clause")
+    m = _clause_count(formula)
     for i in range(m):
         if (count := len(formula.clauses_of(i))) != 3:
             raise ValueError("2grade2-essp needs every variable in exactly three "
@@ -488,12 +491,7 @@ def build_2grade2_essp(formula: CubicMonotoneFormula) -> GadgetInstance:
     for i, clause in enumerate(formula.clauses):
         components.extend(_translator(i, clause, "X.{i}.{v}"))
         terminals.extend((f"t_{i}_0_5", f"t_{i}_1_4", f"t_{i}_2_4"))
-    union = make_union(components)
-    return GadgetInstance(
-        union=union,
-        join_plan=JoinPlan(tuple(terminals)),
-        key_query=("k", "h_0_8"),
-    )
+    return _instance(components, JoinPlan(tuple(terminals)), key_query=("k", "h_0_8"))
 
 
 def _grade2_key_members(m: int, model: frozenset[int]) -> list[str]:
@@ -529,9 +527,7 @@ def build_2grade2_ssp(ts: TransitionSystem) -> GadgetInstance:
     signatures every region must equate (via the accordance events), so the
     union has the SSP iff the input does.
     """
-    cls = classify(ts)
-    if not cls.linear or cls.manifoldness > 3:
-        raise ValueError("the construction expects a linear 3-fold input")
+    _check_linear3(ts)
     counts = Counter(ev for _, ev, _ in ts.edges)
     name = _namer(ts)
     # per 3-fold event: its copies, its accordance events, its duplicator's states
@@ -563,8 +559,5 @@ def build_2grade2_ssp(ts: TransitionSystem) -> GadgetInstance:
             )
         )
         terminals.append(d[5])
-    return GadgetInstance(
-        union=make_union(components),
-        join_plan=JoinPlan(tuple(terminals)),
-        key_pairs=tuple((d[n], d[n + 1]) for *_, d in gadgets.values() for n in (0, 2, 4)),
-    )
+    key_pairs = tuple((d[n], d[n + 1]) for *_, d in gadgets.values() for n in (0, 2, 4))
+    return _instance(components, JoinPlan(tuple(terminals)), key_pairs=key_pairs)

@@ -236,10 +236,15 @@ class Region:
 
 
 def _named_region(sys, names: Iterable[str]) -> Region:
-    """The region of a set of state names, not yet validated."""
-    state_pos = _indexed(sys).state_pos
-    members = tuple(sorted({state_pos[s] for s in names}))
-    return Region(sys, sum(map((1).__lshift__, members)), members)
+    """The region of a set of state names, not yet validated.  Each name
+    writes its digit into one string of the system's size, which is read as
+    one integer, so the mask costs a step per name and a pass over the
+    states in C, not a shift of a growing integer per name."""
+    idx = _indexed(sys)
+    digits = bytearray(b"0") * len(idx.states)
+    for s in map(idx.state_pos.__getitem__, names):
+        digits[-1 - s] = 0x31  # ASCII "1" for bit s
+    return Region(sys, int(digits, 2))
 
 
 def _cut_signs(idx: _Index, side: tuple[int, ...], sign: int) -> Optional[dict[int, int]]:

@@ -114,6 +114,10 @@ class JoinPlan:
             raise ValueError(f"join plan names no terminal for component {i}")
         return t
 
+    def _check_fits(self, union: TsUnion) -> None:
+        if len(self.terminals) != len(union.components):
+            raise ValueError("join plan does not match the number of components")
+
 
 def default_join_plan(union: TsUnion) -> JoinPlan:
     """Terminals default to the actual terminal state of linear components;
@@ -129,9 +133,8 @@ def join(union: TsUnion, plan: JoinPlan | None = None) -> TransitionSystem:
     """Chain the components of a union into one TS via fresh connectors."""
     if plan is None:
         plan = default_join_plan(union)
+    plan._check_fits(union)
     comps = union.components
-    if len(plan.terminals) != len(comps):
-        raise ValueError("join plan does not match the number of components")
     for i in range(len(comps) - 1):
         t = plan.terminal(i)
         if t not in comps[i].states:
@@ -202,7 +205,9 @@ def lift_region(
 
 
 def rectified_name(tag: tuple[str, str], name: str) -> str:
-    event, state = tag
+    """``<event>:<state>:<name>``; the tag's parts double "-" and write ":"
+    as "-.", an injective escape that keeps other names as they are."""
+    event, state = (part.replace("-", "--").replace(":", "-.") for part in tag)
     return f"{event}:{state}:{name}"
 
 
@@ -214,8 +219,8 @@ def rectify(union: TsUnion, tag: tuple[str, str]) -> TsUnion:
     """Rename all states and events to (event, state, x) triples.
 
     Regions transport bijectively, and rectified unions with distinct tags
-    are state- and event-disjoint, so independently built gadget unions can
-    be aggregated without clashes.
+    are state- and event-disjoint (their escaped prefixes differ), so
+    independently built gadget unions can be aggregated without clashes.
     """
     return TsUnion(
         tuple(c.rename(lambda x: rectified_name(tag, x)) for c in union.components)
@@ -310,8 +315,7 @@ def serialize_union(
     one per component, distinct, and free of whitespace and ``#``.
     """
     if plan is not None:
-        if len(plan.terminals) != len(union.components):
-            raise ValueError("join plan does not match the number of components")
+        plan._check_fits(union)
         if all(t is None for t in plan.terminals):
             raise ValueError("unserializable join plan: it names no terminal")
 

@@ -16,7 +16,15 @@ from ensynth.linear2 import (
     second_occurrence_index,
     separator,
 )
-from ensynth.properties import has_essp, has_ssp, inhibitable, is_feasible, is_ssp_witness, separable
+from ensynth.properties import (
+    WitnessMap,
+    has_essp,
+    has_ssp,
+    inhibitable,
+    is_feasible,
+    is_ssp_witness,
+    separable,
+)
 from ensynth.reductions import (
     CubicMonotoneFormula,
     build_2grade2_essp,
@@ -41,7 +49,7 @@ from ensynth.synthesis import (
     ts_isomorphic,
 )
 from ensynth.ts import TransitionSystem
-from ensynth.unions import join, make_union
+from ensynth.unions import join, make_union, rectified_name
 
 from conftest import brute_ssp
 from corpus import PHI4, PHI6, linear2_words, linear3_corpus, random_linear_ts, small_ts_corpus
@@ -276,10 +284,19 @@ def test_criterion_10_linear3_ssp_end_to_end():
             joined = join(instance.union, instance.join_plan)
             source_essp = has_essp(ts).holds
             assert source_essp == has_ssp(joined, timeout=600).holds, ts
-            # the structural facts hold for every separable key pair, also
-            # inside instances whose source fails the ESSP elsewhere
-            for key0, key1 in instance.key_pairs:
-                if separable(instance.union, key0, key1) is not None:
+            # one key pair per ESSP query, tagged by it, in the sweep's order
+            tags = [(q.a, q.b) for q in WitnessMap(ts, ("essp",), [])]
+            assert len(instance.key_pairs) == len(tags), ts
+            for (key0, key1), tag in zip(instance.key_pairs, tags):
+                prefix = rectified_name(tag, "")
+                assert key0.startswith(prefix) and key1.startswith(prefix), (ts, tag)
+                # a key pair is separable iff its tag's event is inhibitable
+                # at its state, and the structural facts hold for every
+                # separable one, also inside instances whose source fails
+                # the ESSP elsewhere
+                separated = separable(instance.union, key0, key1) is not None
+                assert separated == (inhibitable(ts, *tag) is not None), (ts, tag)
+                if separated:
                     _key_region_structure(ts, instance.union, key0, key1)
                 else:
                     assert not source_essp

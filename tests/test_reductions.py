@@ -296,6 +296,20 @@ def test_linear3_ssp_name_freshening():
     assert has_essp(ts).holds == has_ssp(joined).holds
 
 
+def test_linear3_ssp_keeps_tags_with_a_colon_apart():
+    """The tags ("x:y", "z") and ("x", "y:z") name one query each; their
+    rectified sub-unions share no state, and the instance still decides
+    the input's ESSP."""
+    ts = TransitionSystem(["s0", "y:z", "z"], ["x", "x:y"], "s0",
+                          [("s0", "x", "y:z"), ("y:z", "x:y", "z")])
+    assert classify(ts).linear and classify(ts).manifoldness == 1
+    instance = build_linear3_ssp(ts)
+    assert len(instance.key_pairs) == 4
+    assert len(set(instance.union.states)) == len(instance.union.states)
+    joined = join(instance.union, instance.join_plan)
+    assert has_essp(ts).holds == has_ssp(joined).holds
+
+
 def test_linear3_ssp_numbers_occurrences_in_chain_order():
     """Equal inputs give the same instance: the free copies of the queried
     event follow the chain, not the order the edges are listed in."""

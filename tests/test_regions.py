@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ensynth.regions import (
     Region,
@@ -11,8 +12,9 @@ from ensynth.regions import (
     solve_region,
 )
 from ensynth.ts import TransitionSystem
+from ensynth.unions import make_union
 
-from corpus import small_ts_corpus
+from corpus import reversed_declaration, small_ts_corpus
 
 R_M = ["m0", "m3", "m7"]
 
@@ -200,6 +202,29 @@ def test_format_region(master):
 def test_region_from_members_rejects_non_region(master):
     with pytest.raises(ValueError):
         Region.from_members(master, ["m0"])
+
+
+@pytest.mark.parametrize("shape", ["ts", "union", "reversed"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_from_members_mask_is_the_sum_of_member_bits(shape, data):
+    """The mask built from state names is the sum of the member bits, on a
+    TS, a union and a chain declared out of order, for sparse and dense
+    member sets alike.  Every event occurs once, so every state set is a
+    region."""
+    n = data.draw(st.integers(1, 160), label="edges")
+    ts = TransitionSystem.chain([f"e{k}" for k in range(n)])
+    sys = {
+        "ts": ts,
+        "union": make_union([ts, TransitionSystem.chain([f"f{k}" for k in range(n)], "t")]),
+        "reversed": reversed_declaration(ts),
+    }[shape]
+    size = data.draw(st.integers(0, len(sys.states)), label="size")
+    members = set(data.draw(st.permutations(sys.states), label="order")[:size])
+    state_pos = {s: k for k, s in enumerate(sys.states)}
+    region = Region.from_members(sys, members)
+    assert region.mask == sum(1 << state_pos[s] for s in members)
+    assert region.members == tuple(sorted(members, key=state_pos.__getitem__))
 
 
 @pytest.mark.parametrize("mask", [-1, 1 << 4, 1 << 10])

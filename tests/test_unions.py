@@ -4,11 +4,11 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ensynth.properties import has_essp, has_ssp, is_feasible
 from ensynth.regions import Region, aggregate_signature, check_region, enumerate_regions
-from ensynth.ts import ParseError, TransitionSystem, classify, linear_word, validate
+from ensynth.ts import IDENTIFIER, ParseError, TransitionSystem, classify, linear_word, validate
 from ensynth.unions import (
     JoinPlan,
     TsUnion,
@@ -18,6 +18,7 @@ from ensynth.unions import (
     make_union,
     original_name,
     parse_union,
+    rectified_name,
     rectify,
     serialize_union,
 )
@@ -218,6 +219,40 @@ def test_rectified_unions_disjoint():
     both = make_union([one, two])  # no state clash
     assert len(both.states) == 4
     assert set(one.events).isdisjoint(two.events)
+
+
+def test_a_colon_in_a_tag_part_cannot_shift_the_prefix():
+    """The tags ("x:y", "z") and ("x", "y:z") once both gave the prefix
+    "x:y:z:", and ``original_name`` split a tag part's ":" off the name."""
+    assert rectified_name(("x:y", "z"), "m0") != rectified_name(("x", "y:z"), "m0")
+    assert original_name(rectified_name(("a:b", "s"), "m0")) == "m0"
+    assert rectified_name(("e", "s0"), "x:y") == "e:s0:x:y"  # the name is not escaped
+
+
+identifiers = st.text("ab:-.", min_size=1, max_size=6)
+
+
+def unescape(part):
+    return re.sub(r"-([-.])", lambda m: "-" if m[1] == "-" else ":", part)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(identifiers, identifiers), st.tuples(identifiers, identifiers),
+       identifiers, identifiers)
+@example(("a:", "s"), ("a-.", "s"), "m", "m")
+def test_rectified_names_are_injective(tag, tag2, name, name2):
+    """``original_name`` inverts ``rectified_name``, the tag can be read
+    back from the prefix, so distinct tags never give one name, and the
+    escape keeps a tag without ":" or "-"."""
+    rectified = rectified_name(tag, name)
+    assert IDENTIFIER.match(rectified)
+    assert original_name(rectified) == name
+    event, state, _ = rectified.split(":", 2)
+    assert (unescape(event), unescape(state)) == tag
+    if tag != tag2:
+        assert rectified != rectified_name(tag2, name2)
+    if not set(tag[0] + tag[1]) & set(":-"):
+        assert rectified == f"{tag[0]}:{tag[1]}:{name}"
 
 
 # -- .union format ---------------------------------------------------------
