@@ -7,8 +7,9 @@ endpoints can never be separated.  Because no event occurs more than
 twice, a segment is exact 2-fold exactly when the prefix parity vectors at
 its ends are equal, so the decision is one parity pass over the word.
 When the SSP holds, a separating region for a state pair s_i, s_j is found
-from the partners of the events between them, and it has at most two
-non-obeying events, so its membership changes at no more than four edges.
+from the partners of the events between them.  Its non-obeying events are
+one exit and at most one entry event, and its membership changes only at
+their edges, so it is keyed by those events and built once per chain.
 """
 
 from __future__ import annotations
@@ -139,17 +140,21 @@ class SeparatorResult:
 _NOT_FOUND = SeparatorResult(frozenset(), frozenset(), None)
 
 
-def _result(ts: TransitionSystem, lin: _Linear2, out: int, into: int | None = None
-            ) -> SeparatorResult:
+def _result(ts: TransitionSystem, lin: _Linear2, shared: dict, out: int,
+            into: int | None = None) -> SeparatorResult:
     """The separator in which the event of edge ``out`` exits and the event
-    of edge ``into``, if any, enters."""
+    of edge ``into``, if any, enters: built on the first use of that (exit,
+    entry or None) pair of events, and kept in ``shared`` under it."""
     word, index = lin.word, lin.index
-    ends = [(out, -1), (index[out], -1)]
-    if into is not None:
-        ends += [(into, 1), (index[into], 1)]
-    region = _region_from_changes(ts, lin, sorted(e for e in ends if e[0] != -1))
-    enter = () if into is None else (word[into],)
-    return SeparatorResult(frozenset([word[out]]), frozenset(enter), region)
+    key = (word[out], None if into is None else word[into])
+    if key not in shared:
+        ends, enter = [(out, -1), (index[out], -1)], ()
+        if into is not None:
+            ends += [(into, 1), (index[into], 1)]
+            enter = (word[into],)
+        region = _region_from_changes(ts, lin, sorted(e for e in ends if e[0] != -1))
+        shared[key] = SeparatorResult(frozenset([word[out]]), frozenset(enter), region)
+    return shared[key]
 
 
 def _region_from_changes(
@@ -199,17 +204,14 @@ def separator(
 
 
 def _separator(ts: TransitionSystem, lin: _Linear2, i: int, j: int,
-               shared: dict[int, SeparatorResult]) -> SeparatorResult:
-    """The body of :func:`separator`, on valid indices.  ``shared`` maps
-    a unique edge to its result, so that the pairs it separates share one
-    object."""
+               shared: dict) -> SeparatorResult:
+    """The body of :func:`separator`, on valid indices, with the results
+    so far in ``shared`` (see :func:`_result`)."""
     # Phase 1: the first unique event between s_i and s_j exits alone; the
     # scan stops at its edge.
     k = lin.unique.find(1, i, j)
     if k != -1:
-        if k not in shared:
-            shared[k] = _result(ts, lin, k)
-        return shared[k]
+        return _result(ts, lin, shared, k)
 
     # From here on every edge between s_i and s_j has a partner, read in
     # O(j - i); a scan is empty when its phase has no partner on its side.
@@ -219,12 +221,12 @@ def _separator(ts: TransitionSystem, lin: _Linear2, i: int, j: int,
     a = min(inner)
     k = _first_outside(index, a + 1, i, a, j - 1)
     if k != -1:
-        return _result(ts, lin, a, k)
+        return _result(ts, lin, shared, a, k)
     # Phase 3: rightmost partner after s_j.
     b = max(inner)
     k = _first_outside(index, j, b, i, b)
     if k != -1:
-        return _result(ts, lin, b, k)
+        return _result(ts, lin, shared, b, k)
     return _NOT_FOUND
 
 
@@ -245,13 +247,12 @@ class _Separators(Mapping):
     names and computed on lookup.
 
     Iteration runs i ascending, then j ascending; ``len`` and ``in`` cost
-    O(1).  Each lookup is one :func:`_separator` call on the ``shared``
-    phase-1 results, so a pair with a unique event between its states gets
-    the result of the first such event.
+    O(1).  Each lookup is one :func:`_separator` call on ``shared``, the
+    chain's results keyed by exit and entry event, so every pair whose
+    separator has the same two events gets the same object.
     """
 
-    def __init__(self, ts: TransitionSystem, lin: _Linear2,
-                 shared: dict[int, SeparatorResult]):
+    def __init__(self, ts: TransitionSystem, lin: _Linear2, shared: dict):
         self._ts, self._lin, self._shared = ts, lin, shared
         self._pos = {s: k for k, s in enumerate(lin.states)}
 
@@ -292,11 +293,11 @@ def linear2_ssp(ts: TransitionSystem) -> Linear2Verdict:
     """SSP verdict with a SeparatorResult witness per state pair.
 
     The verdict is the absence of an exact 2-fold subsequence, one parity
-    pass.  The witnesses are the distinct separator regions in order of
+    pass.  Each separator is built once, keyed by its exit and entry events,
+    for all pairs and lookups; the witnesses are those results in order of
     first use over the pairs, i ascending, then j ascending.  All pairs
-    with a unique event between their states share that event's region, so
-    only the pairs without one run the full search, and the cost is O(n)
-    plus theirs.
+    with a unique event between their states share that event's result, so
+    only the pairs without one run the full search: O(n) plus theirs.
     """
     lin = _linear_2fold(ts)
     states, word = lin.states, lin.word
@@ -310,16 +311,13 @@ def linear2_ssp(ts: TransitionSystem) -> Linear2Verdict:
 
     # For each i the pairs up to j = k, the first unique edge from i on, run
     # the search; j = k + 1 gets the phase-1 result that later pairs share.
-    shared: dict[int, SeparatorResult] = {}
-    regions: dict[int, Region] = {}  # distinct masks, in order of first use
+    shared: dict[tuple[str, Optional[str]], SeparatorResult] = {}
     for i in range(n):
         k = lin.unique.find(1, i)
         last = n if k == -1 else k + 1
         for j in range(i + 1, last + 1):
-            region = _separator(ts, lin, i, j, shared).region
-            if region is not None:
-                regions.setdefault(region.mask, region)
+            _separator(ts, lin, i, j, shared)
     return Linear2Verdict(
-        WitnessMap(ts, ("ssp",), list(regions.values())),
+        WitnessMap(ts, ("ssp",), [r.region for r in shared.values()]),
         separators=_Separators(ts, lin, shared),
     )

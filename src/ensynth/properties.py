@@ -22,6 +22,7 @@ from __future__ import annotations
 import time
 from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable, Optional
 
 from .regions import Region, RegionConstraint, _witness_regions, solve_region
@@ -172,6 +173,9 @@ def _constraint(query: SeparationQuery) -> RegionConstraint:
     return RegionConstraint(membership={query.b: 0}, signature={query.a: -1})
 
 
+_CLOCK_EVERY = 1024  # checks per clock reading: the solver checks at every branch
+
+
 class _Deadline:
     def __init__(self, timeout: float | None):
         if timeout != timeout:  # nan, which no clock reading exceeds
@@ -179,10 +183,12 @@ class _Deadline:
         self.at = None if timeout is None else time.monotonic() + timeout
         self.checked = 0
         self.total = 0
+        self.calls = 0
 
     def check(self):
-        if self.at is not None and time.monotonic() > self.at:
+        if self.at is not None and self.calls % _CLOCK_EVERY == 0 and time.monotonic() > self.at:
             raise TimeoutExceeded(self.checked, self.total)
+        self.calls += 1
 
 
 class _Partition:
@@ -198,8 +204,10 @@ class _Partition:
         self.rows = range(len(idx.states))
         self.block_of = list(idx.component)
         self.blocks = [0] * (max(self.block_of) + 1)
-        for i, b in enumerate(self.block_of):
-            self.blocks[b] |= 1 << i
+        hi = 0
+        for b, run in groupby(self.block_of):  # states lo..hi-1 lie in block b
+            lo, hi = hi, hi + len(list(run))
+            self.blocks[b] |= (1 << hi) - (1 << lo)
         self.total = sum(b.bit_count() * (b.bit_count() - 1) // 2 for b in self.blocks)
 
     def open(self, i: int):

@@ -421,6 +421,8 @@ def test_a_bad_edge_in_a_component_names_the_file_line(tmp_path, capsys):
     (".union\ncomponent A\nedge a x b\nend\n", "line 2: missing initial declaration"),
     (".union\ncomponent A\ninitial a\nedge a x b\nend\nterminal Z q\nterminal B b\n",
      "line 6: terminal for unknown component ['B', 'Z']"),
+    (".union\ncomponent A\ninitial a\nedge a x b\nend\nterminal A\n",
+     "line 6: terminal takes component and state"),
     ("", "empty input, expected a .union header"),
     ("# c\n.ts\n", "line 2: expected '.union' header, found '.ts'"),
 ])

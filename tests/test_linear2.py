@@ -426,6 +426,37 @@ def test_interlocking_runs_match_the_reference():
     assert phases == {2, 3}
 
 
+def counted_linear2_ssp(ts):
+    """linear2_ssp's verdict and the number of regions it built."""
+    with mock.patch.object(linear2, "_region_from_changes",
+                           wraps=linear2._region_from_changes) as built:
+        verdict = linear2_ssp(ts)
+    return verdict, built.call_count
+
+
+def test_each_separator_is_built_once_per_chain():
+    """Pairs (0, 3) and (1, 5) of x a1 a2 a1 x w a2 u w both find their
+    separator in phase 3, with a2 exiting and w entering: they get one
+    object.  Each interlocking chain builds one region per witness."""
+    verdict, _ = counted_linear2_ssp(chain(interlocking(2)))
+    first = verdict.separators[("s0", "s3")]
+    assert first is verdict.separators[("s1", "s5")]
+    assert (first.exit_events, first.enter_events) == ({"a2"}, {"w"})
+    for m in range(2, 8):
+        verdict, built = counted_linear2_ssp(chain(interlocking(m)))
+        assert verdict.holds and built == len(verdict.witnesses.regions), m
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(mixed_words, two_fold_words), st.booleans())
+def test_linear2_ssp_builds_one_region_per_witness(word, backwards):
+    ts = chain(word)
+    if backwards:
+        ts = reversed_declaration(ts)
+    verdict, built = counted_linear2_ssp(ts)
+    assert built == len(verdict.witnesses.regions)
+
+
 def next_unique_masks(ts):
     """Witness masks in order of first use, by the loop linear2_ssp ran
     before its rows took their bounds from the unique-edge table: a

@@ -293,6 +293,27 @@ def test_timeout_bounds_a_single_solve(master):
         solve_region(master, constraint, deadline=expired)
 
 
+def test_a_live_deadline_reads_the_clock_once_per_1024_checks(monkeypatch):
+    """The clock is read when the deadline is made, on its first check and
+    then on every 1,024th, so an expired deadline raises within 1,024
+    checks."""
+    clock, reads = time.monotonic, []
+
+    def counting():
+        reads.append(None)
+        return clock()
+
+    monkeypatch.setattr(properties.time, "monotonic", counting)
+    deadline = _Deadline(600)
+    for _ in range(5000):
+        deadline.check()
+    assert len(reads) <= 6
+    deadline.at = clock() - 1.0
+    with pytest.raises(TimeoutExceeded):
+        for _ in range(1024):
+            deadline.check()
+
+
 def test_unused_event_cannot_be_inhibited():
     ts = parse_ts(".ts\ninitial s0\nevent ghost\nedge s0 a s1\n")
     assert solve_region(ts, RegionConstraint(signature={"ghost": -1})) is None

@@ -154,6 +154,19 @@ def test_partition_split_matches_the_byte_path(sys_obj, rnd):
 
 
 @EXAMPLES
+@given(systems())
+def test_partition_starts_with_one_block_per_component(sys_obj):
+    """Each initial block is the sum of the bits of its component's states.
+    A single TS has the one component 0."""
+    idx = _indexed(sys_obj)
+    component_of = getattr(sys_obj, "component_of", {})
+    count = len(getattr(sys_obj, "components", [sys_obj]))
+    assert _Partition(idx).blocks == [
+        sum(1 << i for i, s in enumerate(idx.states) if component_of.get(s, 0) == c)
+        for c in range(count)]
+
+
+@EXAMPLES
 @given(systems(), st.integers(0, 2**12 - 1))
 def test_masks_that_are_no_region_are_refused(sys_obj, raw):
     idx = _indexed(sys_obj)
