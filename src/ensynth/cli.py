@@ -115,8 +115,7 @@ def _cmd_validate(args) -> int:
         {
             "valid": report.ok,
             "violations": [
-                {"kind": v.kind, "offenders": [list(o) if isinstance(o, tuple) else o
-                                               for o in v.offenders]}
+                {"kind": v.kind, "offenders": v.offenders}
                 for v in report.violations
             ],
         },

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import groupby
 from typing import Iterable, Optional
 
-from .regions import Region, RegionConstraint, _witness_regions, solve_region
+from .regions import Region, RegionConstraint, _digit_mask, _witness_regions, solve_region
 from .ts import _indexed
 
 __all__ = [
@@ -177,16 +177,19 @@ _CLOCK_EVERY = 1024  # checks per clock reading: the solver checks at every bran
 
 
 class _Deadline:
+    """Stops a check once the clock passes ``at``, infinite without a timeout;
+    the clock is read on the first check and then on every 1,024th."""
+
     def __init__(self, timeout: float | None):
         if timeout != timeout:  # nan, which no clock reading exceeds
             raise ValueError("timeout must not be nan")
-        self.at = None if timeout is None else time.monotonic() + timeout
+        self.at = float("inf") if timeout is None else time.monotonic() + timeout
         self.checked = 0
         self.total = 0
         self.calls = 0
 
     def check(self):
-        if self.at is not None and self.calls % _CLOCK_EVERY == 0 and time.monotonic() > self.at:
+        if self.calls % _CLOCK_EVERY == 0 and time.monotonic() > self.at:
             raise TimeoutExceeded(self.checked, self.total)
         self.calls += 1
 
@@ -254,12 +257,16 @@ class _Pending:
     def __init__(self, idx):
         self.states, self.events = idx.states, idx.events
         self.rows = range(len(idx.events))
-        full = (1 << len(idx.states)) - 1
+        n, edges = len(idx.states), idx.edges
+        full = (1 << n) - 1
         self.pending = []
         for eids in idx.event_edges:
-            enabled = 0
-            for eid in eids:
-                enabled |= 1 << idx.edges[eid][0]
+            if 32 * len(eids) < n:  # the size rule of the solver's _solution
+                enabled = 0
+                for eid in eids:
+                    enabled |= 1 << edges[eid][0]
+            else:
+                enabled = _digit_mask([edges[eid][0] for eid in eids], n)
             self.pending.append(full & ~enabled)
         self.total = sum(m.bit_count() for m in self.pending)
 

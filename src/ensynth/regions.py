@@ -172,8 +172,7 @@ class Region:
         cut edge has an end on either side."""
         idx = _indexed(self.system)
         n = len(idx.states)
-        members = self._members
-        if 2 * (self.mask.bit_count() if members is None else len(members)) <= n:
+        if 2 * self.mask.bit_count() <= n:
             return self._member_positions(), 1
         return _positions(idx, self.mask ^ ((1 << n) - 1)), -1
 
@@ -235,16 +234,21 @@ class Region:
         return f"Region({{{', '.join(self.members)}}})"
 
 
-def _named_region(sys, names: Iterable[str]) -> Region:
-    """The region of a set of state names, not yet validated.  Each name
-    writes its digit into one string of the system's size, which is read as
-    one integer, so the mask costs a step per name and a pass over the
-    states in C, not a shift of a growing integer per name."""
-    idx = _indexed(sys)
-    digits = bytearray(b"0") * len(idx.states)
-    for s in map(idx.state_pos.__getitem__, names):
+def _digit_mask(positions: Iterable[int], n: int) -> int:
+    """The mask of positions below ``n``, a repeated one counted once.  Each
+    position writes its digit into one string of ``n`` digits, which is read
+    as one integer, so the mask costs a step per position and a pass over
+    the string in C, not a shift of a growing integer per position."""
+    digits = bytearray(b"0") * n
+    for s in positions:
         digits[-1 - s] = 0x31  # ASCII "1" for bit s
-    return Region(sys, int(digits, 2))
+    return int(digits, 2)
+
+
+def _named_region(sys, names: Iterable[str]) -> Region:
+    """The region of a set of state names, not yet validated."""
+    idx = _indexed(sys)
+    return Region(sys, _digit_mask(map(idx.state_pos.__getitem__, names), len(idx.states)))
 
 
 def _cut_signs(idx: _Index, side: tuple[int, ...], sign: int) -> Optional[dict[int, int]]:
@@ -547,21 +551,19 @@ class _Solver:
     def _solution(self) -> Region:
         """The decided members; undecided states read as non-members.
 
-        A state appears on the trail at most once on a path, so a short
-        trail is read for them; a long one costs more than the domain
-        array, which is read instead."""
+        Two outcomes.  A state appears on the trail at most once on a path,
+        so a trail of at most |S|/5 entries gives the members, shifted into
+        the mask when fewer than |S|/32 (a shift costs about as much as
+        reading 32 domain bytes).  Otherwise the domain array is read once
+        for the members and the mask."""
         mem, trail = self.mem, self.trail
-        if 5 * len(trail) > len(mem):
-            digits = mem.translate(_MEMBER_DIGITS)
-            members = tuple(compress(self.idx.positions, digits.translate(_BIT_BYTES)))
-            return Region(self.sys, int(digits[::-1], 2), members)
-        members = sorted([s for array, s, _ in trail if array is mem and mem[s] == 0b10])
-        # Shifting a bit in costs about as much as reading 32 domain bytes.
-        if 32 * len(members) < len(mem):
-            mask = sum(map((1).__lshift__, members))
-        else:
-            mask = int(mem.translate(_MEMBER_DIGITS)[::-1], 2)
-        return Region(self.sys, mask, tuple(members))
+        if 5 * len(trail) <= len(mem):
+            members = sorted([s for array, s, _ in trail if array is mem and mem[s] == 0b10])
+            if 32 * len(members) < len(mem):
+                return Region(self.sys, sum(map((1).__lshift__, members)), tuple(members))
+        digits = mem.translate(_MEMBER_DIGITS)
+        members = tuple(compress(self.idx.positions, digits.translate(_BIT_BYTES)))
+        return Region(self.sys, int(digits[::-1], 2), members)
 
     def solutions(self, first_only=False):
         """DFS over branch choices, seeded from the constraint; yields
@@ -611,8 +613,7 @@ class _Solver:
             frame[4] = i + 1
             if deadline is not None:
                 deadline.check()
-            if len(trail) > mark:
-                self._undo(mark)
+            self._undo(mark)
             bits = values[i]
 
 

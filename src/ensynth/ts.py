@@ -22,7 +22,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, NoReturn, Sequence
+from typing import Iterable, Sequence
 
 __all__ = [
     "Edge",
@@ -69,22 +69,21 @@ def _first_use_states(initial: str, edges: Iterable[Edge]) -> dict[str, None]:
     return states
 
 
-def _first_bad_edge(state_set: set, event_set: set, edges: tuple[Edge, ...]) -> NoReturn:
-    """Raise the error for the first edge, in order, that references an
-    undeclared state or event or repeats an earlier edge."""
+def _first_bad_edge(state_set: set, event_set: set, edges: tuple[Edge, ...]) -> str | None:
+    """The error for the first edge, in order, that references an undeclared
+    state or event or repeats an earlier edge; ``None`` if no edge does."""
     seen = set()
     for edge in edges:
         src, ev, dst = edge
         if src not in state_set:
-            raise ValueError(f"edge references undeclared state {src!r}")
+            return f"edge references undeclared state {src!r}"
         if dst not in state_set:
-            raise ValueError(f"edge references undeclared state {dst!r}")
+            return f"edge references undeclared state {dst!r}"
         if ev not in event_set:
-            raise ValueError(f"edge references undeclared event {ev!r}")
+            return f"edge references undeclared event {ev!r}"
         if edge in seen:
-            raise ValueError(f"duplicate edge {edge!r}")
+            return f"duplicate edge {edge!r}"
         seen.add(edge)
-    raise AssertionError("a column check failed but no edge fails it")
 
 
 class _Index:
@@ -212,7 +211,7 @@ class TransitionSystem(_System):
             and state_set.issuperset(map(itemgetter(2), edges))
             and event_set.issuperset(map(itemgetter(1), edges))
         ):
-            _first_bad_edge(state_set, event_set, edges)
+            raise ValueError(_first_bad_edge(state_set, event_set, edges))
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "events", events)
         object.__setattr__(self, "initial", initial)

@@ -12,13 +12,16 @@ complements, which carry no positions and read them from the mask.
 """
 
 import random
+from collections import Counter
 from itertools import compress
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ensynth import regions
 from ensynth.cli import _region_payload
-from ensynth.properties import _Partition
+from ensynth.properties import _Partition, _Pending
 from ensynth.regions import (
     Region, RegionConstraint, _indexed, format_region, solve_all_regions, solve_region,
 )
@@ -194,10 +197,12 @@ def test_large_system_regions_cost_their_smaller_side():
 
 
 def test_solver_positions_on_longer_chains():
-    """Chains long enough that the solver shifts in the mask of a small
-    solution instead of reading its domain array."""
+    """Chains long enough that a solution can hold fewer than |S|/32
+    members, and the solver takes both outcomes of its solution read: the
+    members read from a short trail and shifted into the mask, or the
+    domain array read once for both."""
     rng = random.Random(7)
-    shifted = 0
+    outcomes, small = Counter(), 0
     for _ in range(40):
         length = rng.randint(100, 300)
         ts = TransitionSystem.chain([f"e{rng.randrange(length // 2)}" for _ in range(length)])
@@ -208,14 +213,51 @@ def test_solver_positions_on_longer_chains():
         event = ts.edges[rng.randrange(length)][1]
         for constraint in (RegionConstraint(membership={f"s{i}": 1, f"s{j}": 0}),
                            RegionConstraint(membership={f"s{j}": 0}, signature={event: -1})):
-            region = solve_region(ts, constraint)
+            # Only the domain read compresses the index positions.
+            with mock.patch.object(regions, "compress", wraps=compress) as domain_read:
+                region = solve_region(ts, constraint)
             if region is None:
                 continue
             bits = _bits(region.mask, n)
             assert region._member_positions() == tuple(compress(range(n), bits))
             assert region._cut_signs() == reference_cut_signs(idx, bits)
-            shifted += 32 * len(region._member_positions()) < n
-    assert shifted >= 10
+            outcomes["domain" if domain_read.called else "shift"] += 1
+            small += 32 * len(region._member_positions()) < n
+    assert small >= 10
+    assert outcomes["shift"] >= 5 and outcomes["domain"] >= 5, outcomes
+
+
+def reference_pending(idx):
+    full = (1 << len(idx.states)) - 1
+    return [full & ~sum(1 << s for s in {idx.edges[eid][0] for eid in eids})
+            for eids in idx.event_edges]
+
+
+@EXAMPLES
+@given(systems())
+def test_pending_starts_with_the_states_that_do_not_enable_the_event(sys_obj):
+    idx = _indexed(sys_obj)
+    assert _Pending(idx).pending == reference_pending(idx)
+
+
+def test_pending_counts_a_repeated_source_once():
+    """Two edges of one event from one state, on a short system and on a
+    3,000-edge chain over 5 events: there the frequent events write one
+    digit per edge, and the rare event r shifts one bit per edge."""
+    short = TransitionSystem.from_edges(
+        "s0", [("s0", "a", "s1"), ("s0", "a", "s2"), ("s1", "b", "s0")])
+    rng = random.Random(3)
+    chain = TransitionSystem.chain([f"e{rng.randrange(5)}" for _ in range(3000)])
+    first = chain.edges[0][1]
+    long = TransitionSystem.from_edges("s0", chain.edges + (
+        ("s0", first, "s2"), ("s1", "r", "s4"), ("s1", "r", "s6")))
+    idx = _indexed(long)
+    n = len(idx.states)
+    counts = {idx.events[e]: len(eids) for e, eids in enumerate(idx.event_edges)}
+    assert min(counts[f"e{k}"] for k in range(5)) * 32 >= n > 32 * counts["r"]
+    for sys_obj in (short, long):
+        idx = _indexed(sys_obj)
+        assert _Pending(idx).pending == reference_pending(idx)
 
 
 def test_complement_members_are_the_index_positions():

@@ -40,10 +40,6 @@ ALLOWED = {
         "the body of the __main__ guard runs only when cli.py is the script;"
         " tests run it in a subprocess, which is not traced, and call main()"
     ),
-    ("ts.py", 'raise AssertionError("a column check failed but no edge fails it")'): (
-        "_first_bad_edge runs only after a column check has failed, and the"
-        " per-edge walk then always finds the edge that fails it"
-    ),
 }
 
 
