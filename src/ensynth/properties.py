@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import groupby
 from typing import Iterable, Optional
 
-from .regions import Region, RegionConstraint, _digit_mask, _witness_regions, solve_region
+from .regions import Region, RegionConstraint, _witness_regions, solve_region
 from .ts import _indexed
 
 __all__ = [
@@ -257,16 +257,12 @@ class _Pending:
     def __init__(self, idx):
         self.states, self.events = idx.states, idx.events
         self.rows = range(len(idx.events))
-        n, edges = len(idx.states), idx.edges
-        full = (1 << n) - 1
+        full = (1 << len(idx.states)) - 1
         self.pending = []
         for eids in idx.event_edges:
-            if 32 * len(eids) < n:  # the size rule of the solver's _solution
-                enabled = 0
-                for eid in eids:
-                    enabled |= 1 << edges[eid][0]
-            else:
-                enabled = _digit_mask([edges[eid][0] for eid in eids], n)
+            enabled = 0
+            for eid in eids:
+                enabled |= 1 << idx.edges[eid][0]
             self.pending.append(full & ~enabled)
         self.total = sum(m.bit_count() for m in self.pending)
 

