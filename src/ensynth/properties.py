@@ -223,13 +223,12 @@ class _Partition:
 
     def absorb(self, region: Region) -> int:
         """Split every block the region cuts; returns the number of pairs
-        split.  Each cut block holds a state of the region's smaller side,
-        and the smaller part of a split is relabelled by walking its set
-        bits, so the cost follows that side."""
+        split.  Each cut block holds a member of the region, and the
+        smaller part of a split is relabelled by walking its set bits, so
+        the cost follows the members."""
         blocks, block_of, mask = self.blocks, self.block_of, region.mask
-        side, _ = region._side()
         answered = 0
-        for b in set(map(block_of.__getitem__, side)):
+        for b in set(map(block_of.__getitem__, region._member_positions())):
             block = blocks[b]
             inside = block & mask
             if inside == 0 or inside == block:

@@ -106,13 +106,6 @@ _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 _MEMBER_DIGITS = bytes(0x31 if d == 0b10 else 0x30 for d in range(256))
 
 
-def _positions(idx: _Index, mask: int) -> tuple[int, ...]:
-    """Positions of the set bits of ``mask``, ascending, as the index's
-    shared ints: one O(|S|) read."""
-    digits = bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
-    return tuple(compress(idx.positions, digits))
-
-
 def _witness_regions(sys, regions) -> Iterator[Region]:
     """The given regions, each checked to be a region of ``sys`` (else
     ``ValueError``) and left with its cut signs computed.  Whether a
@@ -137,10 +130,10 @@ class Region:
 
     A region the solver found also holds its sorted member positions; one
     built from a bare mask reads them from the mask when first asked.  The
-    signs of the events the region cuts are computed once, from its smaller
-    side, so a small region costs its own size, not the system's.  A mask
-    with a bit beyond the system's states, or a negative one, is refused
-    with ``ValueError``.
+    signs of the events the region cuts are computed once, from its
+    members, so a region the solver found costs its own size, not the
+    system's.  A mask with a bit beyond the system's states, or a negative
+    one, is refused with ``ValueError``.
     """
 
     __slots__ = ("system", "mask", "_members", "_cut")
@@ -161,20 +154,12 @@ class Region:
         return region
 
     def _member_positions(self) -> tuple[int, ...]:
+        """The members' positions, ascending, as the index's shared ints;
+        read from the mask once, in O(|S|), unless the solver gave them."""
         if self._members is None:
-            self._members = _positions(_indexed(self.system), self.mask)
+            digits = bin(self.mask)[:1:-1].encode().translate(_BIT_BYTES)
+            self._members = tuple(compress(_indexed(self.system).positions, digits))
         return self._members
-
-    def _side(self) -> tuple[tuple[int, ...], int]:
-        """The positions of the smaller side and its sign: the members (1),
-        or the non-members (-1) when the region holds more than half the
-        states.  A region and its complement cut the same edges, and each
-        cut edge has an end on either side."""
-        idx = _indexed(self.system)
-        n = len(idx.states)
-        if 2 * self.mask.bit_count() <= n:
-            return self._member_positions(), 1
-        return _positions(idx, self.mask ^ ((1 << n) - 1)), -1
 
     def _cut_signs(self) -> dict[int, int]:
         """Signature of each event the region cuts, by event id; every other
@@ -182,7 +167,7 @@ class Region:
         is not a region."""
         cut = self._cut
         if cut is None:
-            cut = _cut_signs(_indexed(self.system), *self._side())
+            cut = _cut_signs(_indexed(self.system), self._member_positions())
             if cut is None:
                 raise ValueError("membership set is not a region of the system")
             self._cut = cut
@@ -246,27 +231,26 @@ def _named_region(sys, names: Iterable[str]) -> Region:
     return Region(sys, int(digits, 2))
 
 
-def _cut_signs(idx: _Index, side: tuple[int, ...], sign: int) -> Optional[dict[int, int]]:
+def _cut_signs(idx: _Index, members: tuple[int, ...]) -> Optional[dict[int, int]]:
     """Signature of each event with an edge across the cut, by event id, or
     ``None`` if the edges of such an event disagree (not a region).
 
-    ``side`` holds the positions of one side of the cut and ``sign`` is 1
-    when they are the members, -1 when they are the non-members.  Every
-    cut edge has an end on ``side``, so the cost follows that side's edges.
+    ``members`` holds the positions of the region's members.  Every cut
+    edge has an end among them, so the cost follows their edges.
     """
     edges = idx.edges
-    on = set(side)
+    on = set(members)
     signs: dict[int, int] = {}
-    for s in side:
+    for s in members:
         for eid in idx.state_edges[s]:
             a, e, b = edges[eid]
             d = (b in on) - (a in on)
             if d:
-                signs[e] = d * sign
+                signs[e] = d
     for e, d in signs.items():
         for eid in idx.event_edges[e]:
             a, _, b = edges[eid]
-            if ((b in on) - (a in on)) * sign != d:
+            if (b in on) - (a in on) != d:
                 return None
     return signs
 
@@ -547,15 +531,13 @@ class _Solver:
         """The decided members; undecided states read as non-members.
 
         Two outcomes.  A state appears on the trail at most once on a path,
-        so a trail of at most |S|/5 entries gives the members, shifted into
-        the mask when fewer than |S|/32 (a shift costs about as much as
-        reading 32 domain bytes).  Otherwise the domain array is read once
-        for the members and the mask."""
+        so a trail of at most |S|/5 entries gives the members, which are
+        shifted into the mask.  Otherwise the domain array is read once for
+        the members and the mask."""
         mem, trail = self.mem, self.trail
         if 5 * len(trail) <= len(mem):
             members = sorted([s for array, s, _ in trail if array is mem and mem[s] == 0b10])
-            if 32 * len(members) < len(mem):
-                return Region(self.sys, sum(map((1).__lshift__, members)), tuple(members))
+            return Region(self.sys, sum(map((1).__lshift__, members)), tuple(members))
         digits = mem.translate(_MEMBER_DIGITS)
         members = tuple(compress(self.idx.positions, digits.translate(_BIT_BYTES)))
         return Region(self.sys, int(digits[::-1], 2), members)

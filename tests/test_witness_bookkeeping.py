@@ -1,10 +1,10 @@
 """Differential tests of the per-witness bookkeeping against the byte path.
 
 A region carries its sorted member positions and the signs of the events it
-cuts, both computed from its smaller side; the SSP partition splits the
-blocks a region cuts from that side too.  The reference below is the
-earlier implementation, which read every region through a 0/1 byte per
-state (``_bits``).  Random deterministic systems and two-component unions
+cuts, computed from those members; the SSP partition splits the blocks a
+region cuts from its members too.  The reference below is the earlier
+implementation, which read every region through a 0/1 byte per state
+(``_bits``) and walked its smaller side.  Random deterministic systems and two-component unions
 of at most 12 states are checked over every region of
 ``solve_all_regions`` (with the regions over half the states among them),
 over the same masks as bare ``Region(sys, mask)`` values and over their
@@ -19,7 +19,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ensynth import regions
+from ensynth import CubicMonotoneFormula, build_linear3_essp, join, regions
 from ensynth.cli import _region_payload
 from ensynth.properties import _Partition, _Pending
 from ensynth.regions import (
@@ -27,6 +27,7 @@ from ensynth.regions import (
 )
 from ensynth.ts import TransitionSystem
 
+from corpus import PHI6
 from test_solver_differential import systems
 
 EXAMPLES = settings(max_examples=80, deadline=None)
@@ -184,25 +185,55 @@ def test_masks_that_are_no_region_are_refused(sys_obj, raw):
                 idx, _bits(region.mask, len(idx.states)))
 
 
-def test_large_system_regions_cost_their_smaller_side():
-    """A two-state region of a long chain and its complement both take
-    their cut from the same two positions."""
+def test_a_complement_cuts_the_same_events_with_opposite_signs():
+    """A two-state region of a long chain and its complement, which holds
+    every other state, cut the same two events."""
     ts = TransitionSystem.chain([f"e{k}" for k in range(2000)])
     region = Region(ts, 0b110 << 1000, (1001, 1002))
     assert region._cut_signs() == {1000: 1, 1002: -1}
     assert region.members == ("s1001", "s1002")
     big = region.complement()
-    assert big._side() == ((1001, 1002), -1)
     assert big._cut_signs() == {1000: -1, 1002: 1}
 
 
+def _recording_trails(trails):
+    """``_Solver._solution``, appending each solve's trail length."""
+    solution = regions._Solver._solution
+
+    def recorded(self):
+        trails.append(len(self.trail))
+        return solution(self)
+
+    return mock.patch.object(regions._Solver, "_solution", recorded)
+
+
+def test_short_trail_with_many_members_shifts_them_in():
+    """An ESSP query of the joined linear3 instance of PHI6 whose trail
+    holds at most |S|/5 entries, while its 34 members are more than |S|/32
+    of the 1,023 states: the members still come from the trail and are
+    shifted into the mask, with no read of the domain array."""
+    ts = join(build_linear3_essp(CubicMonotoneFormula(PHI6)).union)
+    n = len(ts.states)
+    trails = []
+    with _recording_trails(trails), \
+            mock.patch.object(regions, "compress", wraps=compress) as domain_read:
+        region = solve_region(ts, RegionConstraint(membership={"d_0_6": 0},
+                                                   signature={"k": -1}))
+    assert n == 1023 and 5 * trails[0] <= n
+    assert 32 * len(region._member_positions()) >= n
+    assert not domain_read.called
+    bits = _bits(region.mask, n)
+    assert region._member_positions() == tuple(compress(range(n), bits))
+    assert region._cut_signs() == reference_cut_signs(_indexed(ts), bits)
+
+
 def test_solver_positions_on_longer_chains():
-    """Chains long enough that a solution can hold fewer than |S|/32
-    members, and the solver takes both outcomes of its solution read: the
-    members read from a short trail and shifted into the mask, or the
-    domain array read once for both."""
+    """Chains long enough that a solve can end on a trail of at most |S|/5
+    entries, and the solver takes both outcomes of its solution read: a
+    short trail gives the members, shifted into the mask, and every other
+    solve reads the domain array once for both."""
     rng = random.Random(7)
-    outcomes, small = Counter(), 0
+    outcomes = Counter()
     for _ in range(40):
         length = rng.randint(100, 300)
         ts = TransitionSystem.chain([f"e{rng.randrange(length // 2)}" for _ in range(length)])
@@ -214,16 +245,17 @@ def test_solver_positions_on_longer_chains():
         for constraint in (RegionConstraint(membership={f"s{i}": 1, f"s{j}": 0}),
                            RegionConstraint(membership={f"s{j}": 0}, signature={event: -1})):
             # Only the domain read compresses the index positions.
-            with mock.patch.object(regions, "compress", wraps=compress) as domain_read:
+            trails = []
+            with _recording_trails(trails), \
+                    mock.patch.object(regions, "compress", wraps=compress) as domain_read:
                 region = solve_region(ts, constraint)
             if region is None:
                 continue
+            assert domain_read.called == (5 * trails[0] > n)
             bits = _bits(region.mask, n)
             assert region._member_positions() == tuple(compress(range(n), bits))
             assert region._cut_signs() == reference_cut_signs(idx, bits)
             outcomes["domain" if domain_read.called else "shift"] += 1
-            small += 32 * len(region._member_positions()) < n
-    assert small >= 10
     assert outcomes["shift"] >= 5 and outcomes["domain"] >= 5, outcomes
 
 

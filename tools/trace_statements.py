@@ -71,9 +71,9 @@ def statements(path: Path) -> list[tuple[int, set[int], str]]:
     return found
 
 
-def main() -> int:
-    files = {str(p): p for p in sorted(PACKAGE.glob("*.py"))}
-    hits: dict[str, set[int]] = {f: set() for f in files}
+def line_tracer(hits: dict[str, set[int]]):
+    """A ``sys.settrace`` function that adds each line run in a file named
+    in ``hits`` to that file's set."""
 
     def local(frame, event, arg):
         if event == "line":
@@ -82,6 +82,14 @@ def main() -> int:
 
     def calls(frame, event, arg):
         return local if frame.f_code.co_filename in hits else None
+
+    return calls
+
+
+def main() -> int:
+    files = {str(p): p for p in sorted(PACKAGE.glob("*.py"))}
+    hits: dict[str, set[int]] = {f: set() for f in files}
+    calls = line_tracer(hits)
 
     sys.dont_write_bytecode = True
     os.chdir(ROOT)
