@@ -35,18 +35,11 @@ from .unions import TsUnion, _terminal_lines, join, parse_union, serialize_union
 __all__ = ["main", "run", "export_dot"]
 
 
-class _InputError(ValueError):
-    """An unreadable or unwritable file, or an input a command refuses.
-
-    A ``ValueError``, so that ``parse_union`` reports an unreadable
-    component file on its ``component`` line like any other error in it."""
-
-
 def _read(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise _InputError(f"cannot read {path}: {exc.strerror}") from exc
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
 
 
 def _write(path, text: str) -> None:
@@ -57,7 +50,7 @@ def _write(path, text: str) -> None:
     try:
         Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
-        raise _InputError(f"cannot write {path}: {exc.strerror}") from exc
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _header(text: str) -> str:
@@ -78,7 +71,7 @@ def _load_ts(args) -> TransitionSystem:
     """The single TS a command needs; a .union file is an input error."""
     ts = _load_system(args.file)
     if isinstance(ts, TsUnion):
-        raise _InputError(f"{args.command} expects a single .ts file")
+        raise ValueError(f"{args.command} expects a single .ts file")
     return ts
 
 
@@ -168,7 +161,7 @@ def _cmd_separator(args) -> int:
     try:
         result = linear2.separator(ts, args.i, args.j)
     except IndexError as exc:
-        raise _InputError(str(exc)) from None
+        raise ValueError(str(exc)) from None
     if result.region is None:
         _emit(args, {"separable": False}, ["UNSEPARABLE"])
         return 1
@@ -248,7 +241,7 @@ def _cmd_reduce(args) -> int:
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise _InputError(f"cannot write {outdir}: {exc.strerror}") from exc
+        raise ValueError(f"cannot write {outdir}: {exc.strerror}") from exc
     stem = args.construction
     _write(outdir / f"{stem}.union", serialize_union(instance.union, instance.join_plan))
     manifest = [f"inhibit {' '.join(instance.key_query)}"] if instance.key_query else []

@@ -46,14 +46,15 @@ class _Linear2(NamedTuple):
 
 
 def _linear_2fold(ts: TransitionSystem) -> _Linear2:
-    """The check each public entry point makes, run once per linear TS: the
-    result is cached in the ``_twofold`` slot (``()`` when the TS is not
-    2-fold), and the helpers below take it and trust it.  Anything that is
-    not a linear TS, a union included, has no slot and is refused first."""
-    chain = _linear_chain(ts)
-    lin = () if chain is None else ts._twofold
+    """The check each public entry point makes, run once per TS: the result
+    is cached in the ``_twofold`` slot (``()`` when the TS is not linear
+    2-fold), the package's one cache of a chain, and the helpers below take
+    it and trust it.  Anything that is not a TransitionSystem, a union
+    included, has no slot and is refused."""
+    lin = ts._twofold if isinstance(ts, TransitionSystem) else ()
     if lin is None:
-        index = _other_occurrences(chain[1])
+        chain = _linear_chain(ts)
+        index = None if chain is None else _other_occurrences(chain[1])
         lin = () if index is None else _Linear2(
             *chain, index, bytes(p == -1 for p in index))
         object.__setattr__(ts, "_twofold", lin)

@@ -198,7 +198,7 @@ class Region:
         return self._cut_signs().get(_indexed(self.system).event_pos[event], 0)
 
     def complement(self) -> "Region":
-        n = len(_indexed(self.system).states)
+        n = len(self.system.states)
         return Region(self.system, ((1 << n) - 1) ^ self.mask)
 
     def restrict(self, system) -> "Region":
@@ -658,7 +658,9 @@ def enumerate_regions(sys, cap: int = 22) -> list[Region]:
 
 
 def aggregate_signature(region: Region, ts, i: int, j: int) -> int:
-    """R(s_j) - R(s_i) along a linear TS, i.e. the signature sum over e_{i+1}..e_j."""
+    """R(s_j) - R(s_i) along a linear TS, i.e. the signature sum over e_{i+1}..e_j.
+    A region of another system is refused with ``ValueError``."""
+    (region,) = _witness_regions(ts, [region])
     chain = _linear_chain(ts)
     if chain is None:
         raise ValueError("aggregate_signature requires a linear transition system")

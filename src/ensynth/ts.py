@@ -175,10 +175,10 @@ class TransitionSystem(_System):
     only; the five admissibility conditions are checked by :func:`validate`.
     """
 
-    # ``_index`` (see :class:`_System`), ``_chain`` (see :func:`_linear_chain`)
-    # and ``_twofold`` (the other-occurrence index of ensynth.linear2) are
-    # built on first use, never by the constructor.
-    __slots__ = ("states", "events", "initial", "edges", "_chain", "_twofold")
+    # ``_index`` (see :class:`_System`) and ``_twofold`` (ensynth.linear2's
+    # view of the chain, its one cache) are built on first use, never by
+    # the constructor.
+    __slots__ = ("states", "events", "initial", "edges", "_twofold")
 
     def __init__(
         self,
@@ -216,7 +216,6 @@ class TransitionSystem(_System):
         object.__setattr__(self, "events", events)
         object.__setattr__(self, "initial", initial)
         object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "_chain", None)
         object.__setattr__(self, "_twofold", None)
         object.__setattr__(self, "_index", None)
 
@@ -374,40 +373,37 @@ def _linear_chain(ts: _System) -> tuple[tuple[str, ...], tuple[str, ...]] | None
     A TS is linear when one chain s0 -e1-> ... -et-> st from the initial
     state runs through every state; a union has no initial state, so it is
     never linear.  This is the package's only walk of a chain; it reads the
-    edge list, not the index, and its result is cached in the ``_chain``
-    slot (``()`` when the TS is not linear).  A chain declared in order,
-    edge k running from ``ts.states[k]`` to ``ts.states[k + 1]``, is
-    recognised by comparing the edge columns with the states, with no
-    per-edge map, and its states are ``ts.states`` itself.
+    edge list, not the index, and keeps nothing: ensynth.linear2 caches its
+    own view of the chain, and every other caller walks once per call.  A
+    chain declared in order, edge k running from ``ts.states[k]`` to
+    ``ts.states[k + 1]``, is recognised by comparing the edge columns with
+    the states, with no per-edge map, and its states are ``ts.states``
+    itself.
     """
     if not isinstance(ts, TransitionSystem):
         return None
-    chain = ts._chain
-    if chain is None:
-        chain = ()
-        states, edges = ts.states, ts.edges
-        n = len(states)
-        if len(edges) == n - 1:
-            if (states[0] == ts.initial
-                    and tuple(map(itemgetter(0), edges)) == states[:-1]
-                    and tuple(map(itemgetter(2), edges)) == states[1:]):
-                chain = (states, tuple(map(itemgetter(1), edges)))
-            else:
-                # n - 1 edges walked from the initial state through n
-                # distinct states are exactly one chain.
-                step = {edge[0]: edge for edge in edges}
-                state = ts.initial
-                walked, word = [state], []
-                while state in step and len(walked) < n:
-                    _, event, state = step[state]
-                    word.append(event)
-                    walked.append(state)
-                if len(set(walked)) == n:
-                    walked = tuple(walked)
-                    # States declared in chain order are not stored twice.
-                    chain = (states if walked == states else walked, tuple(word))
-        object.__setattr__(ts, "_chain", chain)
-    return chain or None
+    states, edges = ts.states, ts.edges
+    n = len(states)
+    if len(edges) != n - 1:
+        return None
+    if (states[0] == ts.initial
+            and tuple(map(itemgetter(0), edges)) == states[:-1]
+            and tuple(map(itemgetter(2), edges)) == states[1:]):
+        return states, tuple(map(itemgetter(1), edges))
+    # n - 1 edges walked from the initial state through n distinct states
+    # are exactly one chain.
+    step = {edge[0]: edge for edge in edges}
+    state = ts.initial
+    walked, word = [state], []
+    while state in step and len(walked) < n:
+        _, event, state = step[state]
+        word.append(event)
+        walked.append(state)
+    if len(set(walked)) != n:
+        return None
+    walked = tuple(walked)
+    # States declared in chain order are not stored twice.
+    return (states if walked == states else walked), tuple(word)
 
 
 def linear_word(ts: _System) -> list[str]:

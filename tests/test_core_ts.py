@@ -6,6 +6,7 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
+from ensynth.linear2 import second_occurrence_index
 from ensynth.ts import (
     ParseError,
     TransitionSystem,
@@ -278,12 +279,12 @@ def test_serialize_refuses_names_the_format_cannot_hold(ts, bad):
 def test_copy_and_pickle_rebuild_without_caches(clone):
     ts = TransitionSystem.chain(["a", "b", "a"])
     ts.successors("s0")
-    linear_word(ts)
+    second_occurrence_index(ts)
     again = clone(ts)
     assert again == ts and again is not ts
     assert (again.states, again.events, again.initial, again.edges) == (
         ts.states, ts.events, ts.initial, ts.edges)
-    assert again._chain is None and again._index is None
+    assert again._twofold is None and again._index is None
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(2, 8))

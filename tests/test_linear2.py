@@ -249,6 +249,29 @@ def test_second_occurrence_index_is_a_fresh_list():
     assert separator(ts, 0, 2).exit_events == frozenset(["b"])
 
 
+def test_a_chain_is_walked_once_across_entry_points():
+    """Each entry point used to walk the chain before it read the cached
+    2-fold view."""
+    ts = chain(["x", "a", "b", "a", "y", "b"])
+    with mock.patch.object(linear2, "_linear_chain",
+                           wraps=linear2._linear_chain) as walk:
+        for _ in range(3):
+            separator(ts, 0, 2)
+            linear2_ssp(ts)
+            find_exact_2fold_subsequence(ts)
+            second_occurrence_index(ts)
+    assert walk.call_count == 1
+
+
+def test_complement_of_a_separator_builds_no_index():
+    """Region.complement used to build the system's index to count states."""
+    ts = chain(["x", "a", "b", "a", "y", "b"])
+    region = separator(ts, 0, 2).region
+    assert ts._index is None
+    assert region.complement().mask == region.mask ^ 0b1111111
+    assert ts._index is None
+
+
 def test_separators_mapping_contract():
     ts = chain(["a", "u", "b", "a", "v", "b"])
     separators = linear2_ssp(ts).separators

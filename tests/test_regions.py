@@ -191,6 +191,16 @@ def test_aggregate_signature_is_signature_sum(master):
             assert aggregate_signature(region, master, i, j) == total
 
 
+def test_aggregate_signature_refuses_a_region_of_another_system():
+    """Such a region used to give a number, or KeyError on other names."""
+    region = Region.from_members(TransitionSystem.chain(["a", "b", "c"]), ["s0"])
+    for ts in (TransitionSystem.chain(["a", "a", "b"]),
+               TransitionSystem.chain(["a", "b", "c"], prefix="t")):
+        with pytest.raises(ValueError, match="region does not belong to the checked system"):
+            aggregate_signature(region, ts, 0, 2)
+    assert aggregate_signature(region, TransitionSystem.chain(["a", "b", "c"]), 0, 2) == -1
+
+
 def test_format_region(master):
     region = Region.from_members(master, R_M)
     text = format_region(region)
